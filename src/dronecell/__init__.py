@@ -9,11 +9,10 @@ from .design import (AntennaModel, CellGeometry, NearDegenerateWarning,
                      NoOptimumError, cell_geometry, edge_angle_objective,
                      ideal_directivity, log_dmax_offset, solve_edge_angle)
 from .params import SPEED_OF_LIGHT, URBAN, ScenarioParams
-from .placement import (PlacementResult, Strategy, UserSet, cmp_position,
-                        mar_objective, mar_position, min_enclosing_circle,
-                        sbc_position, static_position)
-from .sim import (ALL_STRATEGIES, Ecdf, SimConfig, StrategyStats, SummaryStats,
-                  TimeslotResult, empirical_cdf, run_simulation, run_timeslot,
+from .placement import (Strategy, UserSet, cmp_position, mar_objective,
+                        mar_position, min_enclosing_circle, sbc_position,
+                        static_position)
+from .sim import (Ecdf, SimConfig, empirical_cdf, run_simulation,
                   sample_user_count, sample_users_uniform_disc)
 
 __all__ = [
@@ -23,11 +22,9 @@ __all__ = [
     "ideal_directivity", "edge_angle_objective", "log_dmax_offset",
     "solve_edge_angle", "cell_geometry", "AntennaModel", "CellGeometry",
     "NoOptimumError", "NearDegenerateWarning",
-    "Strategy", "UserSet", "PlacementResult", "min_enclosing_circle",
-    "static_position", "sbc_position", "mar_position", "cmp_position",
-    "mar_objective",
-    "ALL_STRATEGIES", "SimConfig", "SummaryStats", "StrategyStats",
-    "TimeslotResult", "run_simulation", "run_timeslot", "sample_user_count",
+    "Strategy", "UserSet", "min_enclosing_circle", "static_position",
+    "sbc_position", "mar_position", "cmp_position", "mar_objective",
+    "SimConfig", "run_simulation", "sample_user_count",
     "sample_users_uniform_disc", "empirical_cdf", "Ecdf",
     "__version__",
 ]

@@ -73,10 +73,16 @@ def g_pos(kappa, theta_edge_deg: float, params: ScenarioParams):
         raise ValueError("kappa must be non-negative")
     _check_edge_angle(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
+    return _scalar_like(_g(k, t, params), kappa)
+
+
+def _g(k, t: float, params: ScenarioParams):
+    # g_pos at kappa k with t = tan(theta_edge); the LoS probability is
+    # inlined as a quotient so the rate kernel stays bit-stable
     theta_user = np.degrees(np.arctan2(t, k))
-    out = (params.eta_los - params.eta_nlos) * _p_los_raw(theta_user, params) \
+    return (params.eta_los - params.eta_nlos) \
+        / (1.0 + params.a * np.exp(-params.b * (theta_user - params.a))) \
         + 10.0 * np.log10(k * k + t * t)
-    return _scalar_like(out, kappa)
 
 
 def expected_path_loss_db(kappa, theta_edge_deg: float, d_max: float,
@@ -108,19 +114,11 @@ def rate_function(theta_edge_deg: float, params: ScenarioParams):
     """
     _check_edge_angle(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
-    a, b = params.a, params.b
-    d_eta = params.eta_los - params.eta_nlos
-
-    def _g(k):
-        theta_user = np.degrees(np.arctan2(t, k))
-        return d_eta / (1.0 + a * np.exp(-b * (theta_user - a))) \
-            + 10.0 * np.log10(k * k + t * t)
-
-    g_edge = float(_g(np.float64(1.0)))
+    g_edge = float(_g(np.float64(1.0), t, params))
 
     def rate(kappa):
         k = np.asarray(kappa, dtype=float)
-        return np.log2(1.0 + 10.0 ** ((g_edge - _g(k)) * 0.1))
+        return np.log2(1.0 + 10.0 ** ((g_edge - _g(k, t, params)) * 0.1))
 
     return rate
 

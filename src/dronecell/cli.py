@@ -201,40 +201,33 @@ def _solve_row(scenario: ScenarioParams):
     return theta, ("near_degenerate" if degenerate else "ok")
 
 
-def cmd_design(cfg: dict, out: _OutputSet) -> None:
-    base = _scenario(cfg)
-    path = out.open_csv("design.csv")
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["e_r", "theta_edge_deg", "ideal_directivity_db",
-                    "altitude_over_dmax", "status"])
-        for er in _er_sweep(cfg):
-            theta, status = _solve_row(base.with_efficiency(er))
-            if theta is None:
-                w.writerow([er, "", "", "", status])
-            else:
-                w.writerow([er, theta,
-                            10.0 * math.log10(ideal_directivity(theta)),
-                            math.tan(math.radians(theta)), status])
-    out.manifest("design", cfg)
+# e_r sweep commands: their two computed columns, named and evaluated at
+# the solved edge angle
+_SWEEP_COLUMNS = {
+    "design": (["ideal_directivity_db", "altitude_over_dmax"],
+               lambda theta, _: (10.0 * math.log10(ideal_directivity(theta)),
+                                 math.tan(math.radians(theta)))),
+    "gain": (["max_rate_at_kappa0", "rate_at_kappa1"],
+             lambda theta, sc: (user_rate(0.0, theta, sc), user_rate(1.0, theta, sc))),
+}
 
 
-def cmd_gain(cfg: dict, out: _OutputSet) -> None:
+def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
+    names, columns = _SWEEP_COLUMNS[command]
     base = _scenario(cfg)
-    path = out.open_csv("gain.csv")
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["e_r", "theta_edge_deg", "max_rate_at_kappa0",
-                    "rate_at_kappa1", "status"])
+
+    def rows():
         for er in _er_sweep(cfg):
-            sc = base.with_efficiency(er)
-            theta, status = _solve_row(sc)
+            scenario = base.with_efficiency(er)
+            theta, status = _solve_row(scenario)
             if theta is None:
-                w.writerow([er, "", "", "", status])
+                yield [er, "", "", "", status]
             else:
-                w.writerow([er, theta, user_rate(0.0, theta, sc),
-                            user_rate(1.0, theta, sc), status])
-    out.manifest("gain", cfg)
+                yield [er, theta, *columns(theta, scenario), status]
+
+    _write_csv(out.open_csv(f"{command}.csv"),
+               ["e_r", "theta_edge_deg", *names, "status"], rows())
+    out.manifest(command, cfg)
 
 
 def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
@@ -254,10 +247,10 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
 
     for s in sim_config.strategies:
         st = stats.per_strategy[s]
-        _write_cdf_csv(out.open_csv(f"rate_cdf_{s.value}.csv"),
-                       "rate_bits_per_symbol", st.rate_samples)
-        _write_cdf_csv(out.open_csv(f"travel_cdf_{s.value}.csv"),
-                       "distance_over_dmax", st.travel_samples)
+        _write_csv(out.open_csv(f"rate_cdf_{s.value}.csv"),
+                   ["rate_bits_per_symbol", "cdf"], _cdf_rows(st.rate_samples))
+        _write_csv(out.open_csv(f"travel_cdf_{s.value}.csv"),
+                   ["distance_over_dmax", "cdf"], _cdf_rows(st.travel_samples))
 
     theta = stats.geometry.theta_edge_deg
     summary = {
@@ -296,13 +289,17 @@ def _jsonable(x: float):
     return None if math.isnan(x) else x
 
 
-def _write_cdf_csv(path: Path, value_column: str, sorted_samples) -> None:
+def _cdf_rows(sorted_samples):
+    # a generator, so a large sample set is never held twice as text
     n = len(sorted_samples)
+    return ((float(v), (i + 1) / n) for i, v in enumerate(sorted_samples))
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([value_column, "cdf"])
-        for i, v in enumerate(sorted_samples):
-            w.writerow([float(v), (i + 1) / n])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def main(argv=None) -> int:
@@ -312,12 +309,10 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         out_set = _OutputSet(args.out)
-        if args.command == "design":
-            cmd_design(cfg, out_set)
-        elif args.command == "gain":
-            cmd_gain(cfg, out_set)
-        else:
+        if args.command == "simulate":
             cmd_simulate(cfg, out_set)
+        else:
+            cmd_sweep(args.command, cfg, out_set)
     except (ValueError, NoOptimumError, OSError) as e:
         if out_set is not None:
             out_set.cleanup()

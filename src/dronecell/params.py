@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -27,6 +28,9 @@ class ScenarioParams:
     e_r: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "eta_los", "eta_nlos", "freq_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.a > 0.0 and self.b > 0.0):
             raise ValueError(f"s-curve constants must be positive, got a={self.a}, b={self.b}")
         if not self.freq_hz > 0.0:

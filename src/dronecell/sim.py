@@ -22,9 +22,7 @@ import numpy as np
 from .channel import rate_function
 from .design import CellGeometry, solve_edge_angle
 from .params import ScenarioParams
-from .placement import (PlacementResult, Strategy, UserSet, min_enclosing_circle,
-                        solve_mar_batch, cmp_position, mar_position, sbc_position,
-                        static_position)
+from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
 _CHUNK_SLOTS = 4096
 _DRAW_COUNT = 0
@@ -58,6 +56,8 @@ class SimConfig:
         if not strategies:
             raise ValueError("at least one strategy must be enabled")
         object.__setattr__(self, "strategies", strategies)
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.fixed_n is None:
             if not self.lam > 0.0:
                 raise ValueError(f"lambda must be positive, got {self.lam}")
@@ -67,22 +67,8 @@ class SimConfig:
             raise ValueError(f"n_timeslots must be >= 1, got {self.n_timeslots}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.d_max > 0.0:
-            raise ValueError(f"cell radius must be positive, got {self.d_max}")
-
-
-@dataclass(frozen=True, eq=False)
-class TimeslotResult:
-    """Placements of every enabled strategy for one timeslot."""
-
-    index: int
-    users: np.ndarray
-    placements: dict[Strategy, PlacementResult]
-    travel: dict[Strategy, float]  # displacement since the previous slot, / d_max
-
-    @property
-    def n_users(self) -> int:
-        return self.users.shape[0]
+        if not 0.0 < self.d_max < math.inf:
+            raise ValueError(f"cell radius must be positive and finite, got {self.d_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +95,6 @@ class SummaryStats:
     n_timeslots: int
     n_users_total: int
     per_strategy: dict[Strategy, StrategyStats]
-    timeslots: Optional[list] = None
 
 
 # ---------------------------------------------------------------------------
@@ -146,39 +131,6 @@ def _slot_users(config: SimConfig, timeslot: int) -> np.ndarray:
         n = sample_user_count(config.lam, _stream(config.seed, timeslot, _DRAW_COUNT))
     return sample_users_uniform_disc(n, config.d_max,
                                      _stream(config.seed, timeslot, _DRAW_POSITION))
-
-
-# ---------------------------------------------------------------------------
-# Per-slot evaluation (contract path, used for small runs and tests)
-# ---------------------------------------------------------------------------
-
-def run_timeslot(users: UserSet, config: SimConfig, geometry: CellGeometry,
-                 prev_positions: Optional[dict] = None) -> TimeslotResult:
-    """Evaluate every enabled strategy on one user set.
-
-    prev_positions maps each strategy to its previous drone position
-    (defaults to the cell center, the position before the first slot).
-    """
-    theta = geometry.theta_edge_deg
-    params = config.scenario
-    if prev_positions is None:
-        prev_positions = {s: users.cell_center for s in config.strategies}
-    placements: dict[Strategy, PlacementResult] = {}
-    travel: dict[Strategy, float] = {}
-    for s in config.strategies:
-        if s is Strategy.STATIC:
-            res = static_position(users, theta, params)
-        elif s is Strategy.SBC:
-            res = sbc_position(users, theta, params)
-        elif s is Strategy.MAR:
-            res = mar_position(users, theta, params)
-        else:
-            res = cmp_position(users, theta, params)
-        placements[s] = res
-        prev = np.asarray(prev_positions[s], dtype=float)
-        travel[s] = float(math.hypot(*(res.position - prev)) / users.d_max)
-    return TimeslotResult(index=0, users=users.users, placements=placements,
-                          travel=travel)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +226,11 @@ def _strategy_stats(strategy: Strategy, rates: np.ndarray, kappas: np.ndarray,
     )
 
 
-def run_simulation(config: SimConfig, workers: int = 1,
-                   keep_timeslots: bool = False) -> SummaryStats:
+def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     """Run the campaign and pool the statistics.
 
     Identical config and seed give bit-identical results for any worker
-    count. With keep_timeslots=True the full per-slot log is attached
-    (memory-heavy for large runs).
+    count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -302,10 +252,8 @@ def run_simulation(config: SimConfig, workers: int = 1,
     n_users_total = int(counts.sum())
 
     per_strategy: dict[Strategy, StrategyStats] = {}
-    positions_by_strategy: dict[Strategy, np.ndarray] = {}
     for s in config.strategies:
         pos = np.concatenate([c["positions"][s] for c in chunks], axis=0)
-        positions_by_strategy[s] = pos
         pu = pos[slot_of_user]
         kappas = np.hypot(users[:, 0] - pu[:, 0], users[:, 1] - pu[:, 1])
         rates = rate(kappas)
@@ -313,36 +261,10 @@ def run_simulation(config: SimConfig, workers: int = 1,
         travel = np.hypot(pos[:, 0] - prev[:, 0], pos[:, 1] - prev[:, 1])
         per_strategy[s] = _strategy_stats(s, rates, kappas, travel)
 
-    timeslots = None
-    if keep_timeslots:
-        timeslots = _build_timeslot_log(config, geometry, rate, counts, users,
-                                        positions_by_strategy)
     return SummaryStats(config=config, geometry=geometry,
                         n_timeslots=config.n_timeslots,
                         n_users_total=n_users_total,
-                        per_strategy=per_strategy, timeslots=timeslots)
-
-
-def _build_timeslot_log(config, geometry, rate, counts, users,
-                        positions_by_strategy) -> list:
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    log = []
-    prev = {s: np.zeros(2) for s in config.strategies}
-    for t in range(config.n_timeslots):
-        pts = users[offsets[t]:offsets[t + 1]]
-        placements = {}
-        travel = {}
-        for s in config.strategies:
-            pos = positions_by_strategy[s][t]
-            kappas = np.hypot(pts[:, 0] - pos[0], pts[:, 1] - pos[1])
-            placements[s] = PlacementResult(
-                strategy=s, position=pos * config.d_max, kappas=kappas,
-                aggregate_rate=float(np.sum(rate(kappas))))
-            travel[s] = float(math.hypot(*(pos - prev[s])))
-            prev[s] = pos
-        log.append(TimeslotResult(index=t, users=pts * config.d_max,
-                                  placements=placements, travel=travel))
-    return log
+                        per_strategy=per_strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dronecell import (URBAN, SimConfig, Strategy, UserSet, max_gain,
 from dronecell.channel import expected_path_loss_db
 from dronecell.cli import main
 from dronecell.placement import mar_position, min_enclosing_circle
+from dronecell.sim import _run_chunk
 
 import oracles
 
@@ -130,9 +131,7 @@ def _mar_sensitivity_report(static_mean: float, mar_mean: float) -> str:
     quad = oracles.static_mean_rate(THETA, URBAN)
     # how often the MAR solution touches the feasible-region boundary
     cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=2000, seed=SEED)
-    stats = run_simulation(cfg, keep_timeslots=True)
-    radii = np.array([np.hypot(*slot.placements[Strategy.MAR].position) / cfg.d_max
-                      for slot in stats.timeslots])
+    radii = np.hypot(*_run_chunk(cfg, 0, cfg.n_timeslots)["positions"][Strategy.MAR].T)
     at_boundary = int(np.count_nonzero(radii >= 1.0 - 1e-9))
     return "\n".join([
         "--- sensitivity report (out-of-band MAR mean) ---",

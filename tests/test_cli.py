@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import shutil
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from dronecell import URBAN, SimConfig, run_simulation
 from dronecell.cli import _resolve_config, build_parser, main
 
 DESIGN_HEADER = ["e_r", "theta_edge_deg", "ideal_directivity_db",
@@ -163,6 +165,28 @@ class TestGoldenFiles:
         assert (tmp_path / "design.csv").read_bytes() == golden.read_bytes()
 
 
+    def test_cdf_csvs_are_byte_stable(self, tmp_path):
+        # reference: the row-by-row writer the CDF files were first emitted by
+        def reference(value_column, sorted_samples):
+            buf = io.StringIO(newline="")
+            w = csv.writer(buf)
+            w.writerow([value_column, "cdf"])
+            n = len(sorted_samples)
+            for i, v in enumerate(sorted_samples):
+                w.writerow([float(v), (i + 1) / n])
+            return buf.getvalue().encode()
+
+        assert main(["simulate", "--lambda", "3", "--timeslots", "80",
+                     "--seed", "21", "--out", str(tmp_path)]) == 0
+        stats = run_simulation(SimConfig(scenario=URBAN, lam=3.0, n_timeslots=80,
+                                         seed=21))
+        for s, st in stats.per_strategy.items():
+            assert (tmp_path / f"rate_cdf_{s.value}.csv").read_bytes() == reference(
+                "rate_bits_per_symbol", st.rate_samples)
+            assert (tmp_path / f"travel_cdf_{s.value}.csv").read_bytes() == reference(
+                "distance_over_dmax", st.travel_samples)
+
+
 class TestReproduction:
     def test_manifest_config_reproduces_the_run(self, tmp_path):
         first = tmp_path / "first"
@@ -212,6 +236,21 @@ class TestErrors:
         rc = main(["design", "--er-min", "0.5", "--er-max", "1.2",
                    "--out", str(tmp_path)])
         assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--scenario-a", "inf", "a must be finite, got inf"),
+        ("--scenario-b", "nan", "b must be finite, got nan"),
+        ("--eta-los", "nan", "eta_los must be finite, got nan"),
+        ("--eta-nlos", "inf", "eta_nlos must be finite, got inf"),
+        ("--freq-hz", "inf", "freq_hz must be finite, got inf"),
+        ("--lambda", "inf", "lambda must be finite, got inf"),
+        ("--dmax", "inf", "cell radius must be positive and finite, got inf")])
+    def test_non_finite_input(self, tmp_path, capsys, flag, value, message):
+        rc = main(["simulate", flag, value, "--timeslots", "10",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):

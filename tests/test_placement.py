@@ -238,9 +238,26 @@ class TestCmp:
         if np.hypot(*sbc.position) <= np.hypot(*mar_position(users, THETA, URBAN).position):
             assert np.array_equal(res.position, sbc.position)
 
+    def test_single_user_collapses(self):
+        # one user: every dynamic placement hovers right above it
+        users = make_users([[0.4, 0.2]])
+        peak = user_rate(0.0, THETA, URBAN)
+        for place in (sbc_position, mar_position, cmp_position):
+            assert place(users, THETA, URBAN).aggregate_rate == pytest.approx(peak, abs=1e-9)
+        assert static_position(users, THETA, URBAN).aggregate_rate < peak
+
     def test_empty_slot_returns_center(self):
         res = cmp_position(make_users(np.empty((0, 2))), THETA, URBAN)
         assert np.array_equal(res.position, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("place", [static_position, sbc_position, mar_position,
+                                   cmp_position], ids=lambda f: f.__name__)
+def test_rates_recompute_from_kappa(place):
+    users = random_users(np.random.default_rng(8), 6)
+    res = place(users, THETA, URBAN)
+    recomputed = float(np.sum(user_rate(res.kappas, THETA, URBAN)))
+    assert res.aggregate_rate == pytest.approx(recomputed, abs=1e-12)
 
 
 class TestTranslationInvariance:

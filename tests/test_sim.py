@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from dronecell import (URBAN, CellGeometry, Ecdf, SimConfig, Strategy, UserSet,
-                       empirical_cdf, run_simulation, run_timeslot,
-                       sample_user_count, sample_users_uniform_disc,
-                       solve_edge_angle, user_rate)
-from dronecell.sim import _slot_users, _stream
+from dronecell import (URBAN, SimConfig, Strategy, UserSet, cmp_position,
+                       empirical_cdf, mar_position, rate_function, run_simulation,
+                       sample_user_count, sample_users_uniform_disc, sbc_position,
+                       solve_edge_angle, static_position)
+from dronecell.sim import _run_chunk, _slot_users, _stream
 
 import oracles
 
 THETA = solve_edge_angle(URBAN)
+PLACEMENTS = {Strategy.STATIC: static_position, Strategy.SBC: sbc_position,
+              Strategy.MAR: mar_position, Strategy.CMP: cmp_position}
+
+
+def chunk_slots(cfg):
+    """Per-slot normalized users and the positions of every strategy, read
+    from one engine chunk over the whole run."""
+    chunk = _run_chunk(cfg, 0, cfg.n_timeslots)
+    users = np.split(chunk["users"], np.cumsum(chunk["counts"])[:-1])
+    return users, chunk["positions"]
 
 
 @pytest.fixture(scope="module")
@@ -78,41 +88,6 @@ class TestConfigValidation:
             SimConfig(scenario=URBAN, seed=-1)
 
 
-class TestRunTimeslot:
-    def test_single_user_degeneracy(self):
-        cfg = SimConfig(scenario=URBAN)
-        geom = CellGeometry.from_edge_angle(THETA, cfg.d_max)
-        users = UserSet(users=[[200.0, 100.0]], cell_center=[0.0, 0.0],
-                        d_max=cfg.d_max)
-        res = run_timeslot(users, cfg, geom)
-        peak = user_rate(0.0, THETA, URBAN)
-        for s in (Strategy.SBC, Strategy.MAR, Strategy.CMP):
-            assert res.placements[s].aggregate_rate == pytest.approx(peak, abs=1e-9)
-        assert res.placements[Strategy.STATIC].aggregate_rate < peak
-
-    def test_empty_slot_returns_to_center(self):
-        cfg = SimConfig(scenario=URBAN)
-        geom = CellGeometry.from_edge_angle(THETA, cfg.d_max)
-        users = UserSet(users=np.empty((0, 2)), cell_center=[0.0, 0.0],
-                        d_max=cfg.d_max)
-        prev = {s: np.array([100.0, 0.0]) for s in cfg.strategies}
-        res = run_timeslot(users, cfg, geom, prev_positions=prev)
-        for s in cfg.strategies:
-            assert np.array_equal(res.placements[s].position, [0.0, 0.0])
-            assert res.travel[s] == pytest.approx(100.0 / cfg.d_max, abs=1e-12)
-
-    def test_rates_recompute_from_kappa(self):
-        cfg = SimConfig(scenario=URBAN)
-        geom = CellGeometry.from_edge_angle(THETA, cfg.d_max)
-        rng = np.random.default_rng(8)
-        pts = sample_users_uniform_disc(6, cfg.d_max, rng)
-        res = run_timeslot(UserSet(users=pts, cell_center=[0.0, 0.0],
-                                   d_max=cfg.d_max), cfg, geom)
-        for s, placement in res.placements.items():
-            recomputed = float(np.sum(user_rate(placement.kappas, THETA, URBAN)))
-            assert placement.aggregate_rate == pytest.approx(recomputed, abs=1e-12)
-
-
 class TestEngine:
     def test_deterministic_across_workers(self):
         cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=9000, seed=11)
@@ -125,19 +100,37 @@ class TestEngine:
                                   four.per_strategy[s].travel_samples)
 
     def test_matches_per_slot_evaluation(self):
+        # the public per-slot placement functions are the oracle
         cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=40, seed=13)
-        stats = run_simulation(cfg, keep_timeslots=True)
-        geom = stats.geometry
-        prev = {s: np.zeros(2) for s in cfg.strategies}
-        for slot in stats.timeslots:
-            users = UserSet(users=slot.users, cell_center=[0.0, 0.0],
-                            d_max=cfg.d_max)
-            ref = run_timeslot(users, cfg, geom, prev_positions=prev)
-            for s in cfg.strategies:
-                assert np.allclose(slot.placements[s].position,
-                                   ref.placements[s].position, atol=1e-9)
-                assert slot.travel[s] == pytest.approx(ref.travel[s], abs=1e-9)
-                prev[s] = ref.placements[s].position
+        users, positions = chunk_slots(cfg)
+        stats = run_simulation(cfg)
+        for s in cfg.strategies:
+            ref = np.array([PLACEMENTS[s](UserSet(users=pts * cfg.d_max,
+                                                  cell_center=[0.0, 0.0],
+                                                  d_max=cfg.d_max),
+                                          THETA, URBAN).position
+                            for pts in users]) / cfg.d_max
+            assert np.allclose(positions[s], ref, atol=1e-9)
+            prev = np.vstack([np.zeros(2), ref[:-1]])
+            assert np.allclose(stats.per_strategy[s].travel_samples,
+                               np.sort(np.hypot(*(ref - prev).T)), atol=1e-9)
+
+    def test_empty_slot_returns_to_center(self):
+        cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=200, seed=5)
+        users, positions = chunk_slots(cfg)
+        stats = run_simulation(cfg)
+        empty = np.array([pts.shape[0] == 0 for pts in users])
+        assert empty.any() and not empty.all()
+        for s in cfg.strategies:
+            pos = positions[s]
+            prev = np.vstack([np.zeros(2), pos[:-1]])
+            assert np.all(pos[empty] == 0.0)
+            if s is not Strategy.STATIC:
+                assert np.any(prev[empty] != 0.0)  # some returns actually move
+            # travel is the distance from the previous slot's position
+            travel = np.hypot(*(pos - prev).T)
+            assert np.array_equal(travel[empty], np.hypot(*prev[empty].T))
+            assert np.array_equal(np.sort(travel), stats.per_strategy[s].travel_samples)
 
     def test_sample_bookkeeping(self, sim20k):
         for s, st in sim20k.per_strategy.items():
@@ -175,11 +168,13 @@ class TestEngine:
     def test_mar_dominates_per_slot(self):
         # the aggregate at the MAR point is never below the other placements
         cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=300, seed=17)
-        stats = run_simulation(cfg, keep_timeslots=True)
-        for slot in stats.timeslots:
-            mar = slot.placements[Strategy.MAR].aggregate_rate
+        users, positions = chunk_slots(cfg)
+        rate = rate_function(THETA, URBAN)
+        for t, pts in enumerate(users):
+            agg = {s: float(np.sum(rate(np.hypot(*(pts - positions[s][t]).T))))
+                   for s in cfg.strategies}
             for s in (Strategy.STATIC, Strategy.SBC, Strategy.CMP):
-                assert mar >= slot.placements[s].aggregate_rate - 1e-12
+                assert agg[Strategy.MAR] >= agg[s] - 1e-12
 
     def test_strategy_subset(self):
         cfg = SimConfig(scenario=URBAN, lam=2.0, n_timeslots=100, seed=1,
