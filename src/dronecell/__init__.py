@@ -1,7 +1,7 @@
 """Standalone drone small cells: coverage-optimal geometry and dynamic
 horizontal repositioning gains under Poisson user populations."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import (UserRate, expected_path_loss_db, g_pos, max_gain, p_los,
                       path_loss_los, path_loss_nlos, rate_function, user_rate)

@@ -123,6 +123,40 @@ def rate_function(theta_edge_deg: float, params: ScenarioParams):
     return rate
 
 
+def rate_derivatives(theta_edge_deg: float, params: ScenarioParams):
+    """Vectorized kappa -> (r, r', r'') callable: rate_function's rate, bit
+    for bit, and its first two derivatives in kappa, finite at kappa = 0.
+
+    With q = 10^((g_edge - g)/10), sigma = q/(1+q) and c = ln(10)/10,
+    r' = -(c/ln 2) sigma g' and r'' = -(c/ln 2)(sigma g'' - c sigma(1-sigma) g'^2),
+    where g', g'' follow from dP/dtheta = b P(1-P) and
+    dtheta/dkappa = -(180/pi) t/(kappa^2 + t^2).
+    """
+    _check_edge_angle(theta_edge_deg)
+    t = math.tan(math.radians(theta_edge_deg))
+    g_edge = float(_g(np.float64(1.0), t, params))
+    c = math.log(10.0) / 10.0
+    d_eta = params.eta_los - params.eta_nlos
+    deg_t = math.degrees(t)
+
+    def terms(kappa):
+        k = np.asarray(kappa, dtype=float)
+        q = 10.0 ** ((g_edge - _g(k, t, params)) * 0.1)
+        p = _p_los_raw(np.degrees(np.arctan2(t, k)), params)
+        s = k * k + t * t
+        sigma = q / (1.0 + q)
+        p1 = params.b * p * (1.0 - p)                 # dP/dtheta
+        p2 = params.b * p1 * (1.0 - 2.0 * p)          # d2P/dtheta2
+        th1 = -deg_t / s                              # dtheta/dkappa
+        th2 = 2.0 * deg_t * k / (s * s)               # d2theta/dkappa2
+        g1 = d_eta * p1 * th1 + 2.0 * k / (c * s)
+        g2 = d_eta * (p2 * th1 * th1 + p1 * th2) + 2.0 * (t * t - k * k) / (c * s * s)
+        return (np.log2(1.0 + q), -c / math.log(2.0) * sigma * g1,
+                -c / math.log(2.0) * (sigma * g2 - c * sigma * (1.0 - sigma) * g1 * g1))
+
+    return terms
+
+
 def user_rate(kappa, theta_edge_deg: float, params: ScenarioParams):
     """Expected per-user rate, bits/symbol, for normalized distance kappa.
 

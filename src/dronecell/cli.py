@@ -47,13 +47,7 @@ _DEFAULTS = {
 }
 
 # argparse dest -> config key ("lambda" is a Python keyword)
-_FLAG_KEYS = {
-    "a": "a", "b": "b", "eta_los": "eta_los", "eta_nlos": "eta_nlos",
-    "freq_hz": "freq_hz", "er": "er", "lam": "lambda", "fixed_n": "fixed_n",
-    "timeslots": "timeslots", "seed": "seed", "strategies": "strategies",
-    "dmax": "dmax", "workers": "workers", "er_min": "er_min",
-    "er_max": "er_max", "er_step": "er_step",
-}
+_FLAG_KEYS = {("lam" if key == "lambda" else key): key for key in _DEFAULTS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +133,8 @@ def _parse_strategies(value) -> tuple[Strategy, ...]:
 
 def _er_sweep(cfg: dict) -> list[float]:
     lo, hi, step = float(cfg["er_min"]), float(cfg["er_max"]), float(cfg["er_step"])
+    if not math.isfinite(step):
+        raise ValueError(f"er-step must be finite, got {step}")
     if step <= 0.0:
         raise ValueError(f"er-step must be positive, got {step}")
     if not (0.0 <= lo <= hi < 1.0):

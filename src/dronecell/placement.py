@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import rate_function
+from .channel import rate_derivatives, rate_function
 from .params import ScenarioParams
 
 _CONTAINMENT_SLACK = 1e-9
@@ -26,10 +26,11 @@ _CONTAINMENT_SLACK = 1e-9
 _IN_CIRCLE_EPS = 1.0 + 1e-12
 _COLLINEAR_EPS = 1e-12
 
-_NM_STEP = 0.05
-_NM_XATOL = 1e-10
-_NM_FATOL = 1e-10
-_NM_MAX_ITER = 500
+_MAX_ITER = 100        # MAR ascent iteration cap
+_XTOL = 1e-10          # MAR step length below which an instance has converged
+_CONE_EPS = 1e-12      # a user this close sits under the iterate, on its cone
+_SNAP_RADIUS = 1e-3    # reach of the move onto a strictly better user
+_ASCENT_BLOCK = 16384  # instances x users per block; bounds the working set
 
 
 class Strategy(str, Enum):
@@ -250,17 +251,15 @@ def mar_objective(position, users: UserSet, theta_edge_deg: float,
     pos_norm = (pos - users.cell_center) / users.d_max
     if math.hypot(pos_norm[0], pos_norm[1]) > 1.0 + _CONTAINMENT_SLACK:
         raise ValueError("candidate position lies outside the cell disc")
-    u = users.normalized()
-    kappas = np.hypot(u[:, 0] - pos_norm[0], u[:, 1] - pos_norm[1])
-    return float(np.sum(rate(kappas)))
+    return _result(Strategy.MAR, users, pos_norm, rate).aggregate_rate
 
 
 def mar_position(users: UserSet, theta_edge_deg: float,
                  params: ScenarioParams) -> PlacementResult:
     """Approximate global maximizer of the aggregate rate over the cell disc.
 
-    Multi-start simplex descent seeded at the cell center, every user,
-    the SBC center and the best of a coarse polar grid; the returned
+    Multi-start damped-Newton ascent seeded at the cell center, every
+    user, the SBC center and the best of a coarse polar grid; the returned
     objective is never below any of those candidates. An empty timeslot
     places the drone at the cell center.
     """
@@ -269,7 +268,8 @@ def mar_position(users: UserSet, theta_edge_deg: float,
         return _result(Strategy.MAR, users, np.zeros(2), rate)
     u = users.normalized()[None, :, :]
     sbc_center, _ = min_enclosing_circle(users.normalized())
-    pos, _ = solve_mar_batch(u, rate, sbc_center[None, :])
+    pos, _ = solve_mar_batch(u, rate, rate_derivatives(theta_edge_deg, params),
+                             sbc_center[None, :])
     return _result(Strategy.MAR, users, pos[0], rate)
 
 
@@ -310,14 +310,16 @@ def _aggregate_rates(positions: np.ndarray, users: np.ndarray, rate) -> np.ndarr
     return rate(np.hypot(dx, dy)).sum(axis=-1)
 
 
-def solve_mar_batch(users: np.ndarray, rate, sbc_centers: np.ndarray
+def solve_mar_batch(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the MAR placement for a batch of same-size instances.
 
     users: (B, N, 2) in the normalized frame (cell center at the origin,
-    unit radius), N >= 1; sbc_centers: (B, 2). Returns (positions (B, 2),
-    objectives (B,)). Each instance is solved independently, so results do
-    not depend on how instances are batched together.
+    unit radius), N >= 1; rate and rate_terms are rate_function's and
+    rate_derivatives' callables for the same geometry; sbc_centers: (B, 2).
+    Returns (positions (B, 2), objectives (B,)). Each instance is solved
+    independently, so results do not depend on how instances are batched
+    together.
     """
     users = np.asarray(users, dtype=float)
     b, n, _ = users.shape
@@ -331,21 +333,14 @@ def solve_mar_batch(users: np.ndarray, rate, sbc_centers: np.ndarray
         grid_best[:, None, :],
     ], axis=1)  # (B, S, 2)
     s = starts.shape[1]
-    inst_users = np.repeat(users, s, axis=0)  # (B*S, N, 2)
-
-    def neg_objective(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        uu = inst_users[idx]
-        dx = uu[:, :, 0] - x[:, None, 0]
-        dy = uu[:, :, 1] - x[:, None, 1]
-        return -rate(np.hypot(dx, dy)).sum(axis=-1)
-
-    finals, _ = _nelder_mead_batch(neg_objective, starts.reshape(-1, 2))
+    x0, inst_users = starts.reshape(-1, 2), np.repeat(users, s, axis=0)
+    size = max(1, _ASCENT_BLOCK // n)
+    finals = np.concatenate([
+        _newton_ascent(x0[i:i + size], inst_users[i:i + size], rate, rate_terms)
+        for i in range(0, x0.shape[0], size)])
     # project onto the closed cell disc (a projection never lowers the
     # objective: users live inside the disc)
-    radius = np.hypot(finals[:, 0], finals[:, 1])
-    outside = radius > 1.0
-    if np.any(outside):
-        finals[outside] /= radius[outside, None]
+    finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]
     finals = finals.reshape(b, s, 2)
     # candidate set: refined finals first, then the raw starts, so that the
     # first-occurrence argmax prefers refined points on exact ties
@@ -356,95 +351,73 @@ def solve_mar_batch(users: np.ndarray, rate, sbc_centers: np.ndarray
     return candidates[rows, pick], values[rows, pick]
 
 
-def _nelder_mead_batch(fun, x0: np.ndarray, step: float = _NM_STEP,
-                       xatol: float = _NM_XATOL, fatol: float = _NM_FATOL,
-                       max_iter: int = _NM_MAX_ITER
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize fun independently for a batch of 2-D start points.
+def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms) -> np.ndarray:
+    """Damped-Newton ascent of sum_i r(k_i), k_i = |x - u_i|, from starts
+    x0 (M, 2) against users (M, N, 2).
 
-    fun(x (K, 2), idx (K,)) evaluates instances idx at positions x.
-    Standard reflection/expansion/contraction/shrink simplex updates,
-    vectorized across instances; converged instances freeze so results are
-    independent of batch composition. Returns (best points, best values).
+    The step is Newton's where the Hessian is negative definite, else the
+    Weiszfeld step (the gradient over sum_i -r'(k_i)/k_i), halved until the
+    objective rises strictly; an instance that cannot rise has converged.
+    Users under x (the cone at k_i = 0) are left out of both sums; x stays
+    when the rest pull less than their slope sum |r'(0)| (Vardi & Zhang's
+    test), else steps off along that pull. An accepted point close to a
+    strictly better user moves onto it, so a cone maximum is reached
+    exactly. Converged instances freeze, so no instance depends on the
+    others.
     """
-    m = x0.shape[0]
-    sim = np.repeat(x0[:, None, :], 3, axis=1)
-    sim[:, 1, 0] += step
-    sim[:, 2, 1] += step
-    idx_all = np.arange(m)
-    fsim = np.stack([fun(sim[:, j], idx_all) for j in range(3)], axis=1)
-    sim, fsim = _sorted_simplex(sim, fsim)
-    active = np.ones(m, dtype=bool)
-
-    for _ in range(max_iter):
-        ii = np.flatnonzero(active)
-        if ii.size == 0:
+    x = x0.copy()
+    active = np.arange(x.shape[0])
+    for _ in range(_MAX_ITER):
+        if active.size == 0:
             break
-        s = sim[ii]
-        f = fsim[ii]
-        k = ii.size
-        xbar = 0.5 * (s[:, 0] + s[:, 1])
-        xr = 2.0 * xbar - s[:, 2]
-        fr = fun(xr, ii)
+        xa, ua = x[active], users[active]
+        dx = xa[:, None, :] - ua  # (K, N, 2)
+        kap = np.hypot(dx[..., 0], dx[..., 1])
+        r, r1, r2 = rate_terms(kap)
+        on = kap <= _CONE_EPS
+        cone = -np.where(on, r1, 0.0).sum(axis=1)
+        k_safe = np.where(on, 1.0, kap)
+        ex, ey = dx[..., 0] / k_safe, dx[..., 1] / k_safe
+        r1 = np.where(on, 0.0, r1)
+        tang = r1 / k_safe  # Hessian: sum_i (r'' - r'/k) e_i e_i^T + (r'/k) I
+        rad = np.where(on, 0.0, r2) - tang
+        gx, gy = (r1 * ex).sum(axis=1), (r1 * ey).sum(axis=1)
+        hxx = (rad * ex * ex + tang).sum(axis=1)
+        hxy = (rad * ex * ey).sum(axis=1)
+        hyy = (rad * ey * ey + tang).sum(axis=1)
+        det = hxx * hyy - hxy * hxy
+        newton = (cone == 0.0) & (hxx < 0.0) & (det > 0.0)
+        det = np.where(newton, det, 1.0)
+        weight = np.where(on.all(axis=1), 1.0, -tang.sum(axis=1))
+        step = np.stack([np.where(newton, (hxy * gy - hyy * gx) / det, gx / weight),
+                         np.where(newton, (hxy * gx - hxx * gy) / det, gy / weight)],
+                        axis=1)
+        length = np.hypot(step[:, 0], step[:, 1])
 
-        new_x = np.empty((k, 2))
-        new_f = np.empty(k)
-        shrink = np.zeros(k, dtype=bool)
-
-        expand = fr < f[:, 0]
-        if np.any(expand):
-            j = np.flatnonzero(expand)
-            xe = 3.0 * xbar[j] - 2.0 * s[j, 2]
-            fe = fun(xe, ii[j])
-            take_e = fe < fr[j]
-            new_x[j] = np.where(take_e[:, None], xe, xr[j])
-            new_f[j] = np.where(take_e, fe, fr[j])
-
-        reflect = ~expand & (fr < f[:, 1])
-        new_x[reflect] = xr[reflect]
-        new_f[reflect] = fr[reflect]
-
-        contract = ~expand & ~reflect
-        if np.any(contract):
-            j_out = np.flatnonzero(contract & (fr < f[:, 2]))
-            if j_out.size:
-                xc = 1.5 * xbar[j_out] - 0.5 * s[j_out, 2]
-                fc = fun(xc, ii[j_out])
-                ok = fc <= fr[j_out]
-                new_x[j_out] = np.where(ok[:, None], xc, new_x[j_out])
-                new_f[j_out] = np.where(ok, fc, new_f[j_out])
-                shrink[j_out] = ~ok
-            j_in = np.flatnonzero(contract & (fr >= f[:, 2]))
-            if j_in.size:
-                xcc = 0.5 * xbar[j_in] + 0.5 * s[j_in, 2]
-                fcc = fun(xcc, ii[j_in])
-                ok = fcc < f[j_in, 2]
-                new_x[j_in] = np.where(ok[:, None], xcc, new_x[j_in])
-                new_f[j_in] = np.where(ok, fcc, new_f[j_in])
-                shrink[j_in] = ~ok
-
-        keep = ~shrink
-        s[keep, 2] = new_x[keep]
-        f[keep, 2] = new_f[keep]
-        if np.any(shrink):
-            j = np.flatnonzero(shrink)
-            s[j, 1] = s[j, 0] + 0.5 * (s[j, 1] - s[j, 0])
-            s[j, 2] = s[j, 0] + 0.5 * (s[j, 2] - s[j, 0])
-            f[j, 1] = fun(s[j, 1], ii[j])
-            f[j, 2] = fun(s[j, 2], ii[j])
-
-        s, f = _sorted_simplex(s, f)
-        sim[ii] = s
-        fsim[ii] = f
-        span = np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2))
-        spread = np.max(np.abs(f[:, 1:] - f[:, :1]), axis=1)
-        done = (span <= xatol) & (spread <= fatol)
-        active[ii[done]] = False
-
-    return sim[:, 0].copy(), fsim[:, 0].copy()
+        f = r.sum(axis=1)
+        moved = np.zeros(active.size, dtype=bool)
+        todo = np.flatnonzero(np.hypot(gx, gy) > cone)
+        t = 1.0
+        while (todo := todo[t * length[todo] > _XTOL]).size:
+            xt = xa[todo] + t * step[todo]
+            ft = _aggregate_rates(xt[:, None, :], ua[todo], rate)[:, 0]
+            ok = ft > f[todo]
+            x[active[todo[ok]]] = _snap(xt[ok], ft[ok], ua[todo[ok]], rate)
+            moved[todo[ok]] = True
+            todo = todo[~ok]
+            t *= 0.5
+        active = active[moved]
+    return x
 
 
-def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray):
-    order = np.argsort(fsim, axis=1, kind="stable")
-    return (np.take_along_axis(sim, order[:, :, None], axis=1),
-            np.take_along_axis(fsim, order, axis=1))
+def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, rate) -> np.ndarray:
+    """Move each point x[j] (objective f[j]) onto its nearest user when that
+    user lies within _SNAP_RADIUS and scores strictly higher."""
+    kap = np.hypot(users[..., 0] - x[:, None, 0], users[..., 1] - x[:, None, 1])
+    near = np.argmin(kap, axis=1)
+    close = np.flatnonzero(kap[np.arange(x.shape[0]), near] <= _SNAP_RADIUS)
+    if close.size:
+        u = users[close, near[close]]
+        better = _aggregate_rates(u[:, None, :], users[close], rate)[:, 0] > f[close]
+        x[close[better]] = u[better]
+    return x

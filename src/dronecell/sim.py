@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import rate_function
+from .channel import rate_derivatives, rate_function
 from .design import CellGeometry, solve_edge_angle
 from .params import ScenarioParams
 from .placement import Strategy, min_enclosing_circle, solve_mar_batch
@@ -171,6 +171,7 @@ def _run_chunk(config: SimConfig, start: int, stop: int) -> dict:
     if Strategy.MAR in need:
         theta = solve_edge_angle(config.scenario)
         rate = rate_function(theta, config.scenario)
+        rate_terms = rate_derivatives(theta, config.scenario)
         mar = np.zeros((length, 2))
         by_n: dict[int, list[int]] = {}
         for i, c in enumerate(counts):
@@ -179,7 +180,7 @@ def _run_chunk(config: SimConfig, start: int, stop: int) -> dict:
         for n, rows in sorted(by_n.items()):
             batch = np.stack([users_list[i] for i in rows], axis=0)
             centers = positions[Strategy.SBC][rows]
-            pos, _ = solve_mar_batch(batch, rate, centers)
+            pos, _ = solve_mar_batch(batch, rate, rate_terms, centers)
             mar[rows] = pos
         positions[Strategy.MAR] = mar
     if Strategy.CMP in need:
@@ -194,10 +195,6 @@ def _run_chunk(config: SimConfig, start: int, stop: int) -> dict:
         "users": users_flat,
         "positions": {s: positions[s] for s in config.strategies},
     }
-
-
-def _chunk_worker(args) -> dict:
-    return _run_chunk(*args)
 
 
 def _nearest_rank(sorted_vals: np.ndarray, pct: float) -> float:
@@ -241,10 +238,10 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
     tasks = [(config, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     if workers == 1 or len(tasks) == 1:
-        chunks = [_chunk_worker(t) for t in tasks]
+        chunks = [_run_chunk(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_worker, tasks))
+            chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
     counts = np.concatenate([c["counts"] for c in chunks])
     users = np.concatenate([c["users"] for c in chunks], axis=0)

@@ -6,7 +6,7 @@ import pytest
 from dronecell import (URBAN, ScenarioParams, UserRate, expected_path_loss_db,
                        g_pos, max_gain, p_los, path_loss_los, path_loss_nlos,
                        solve_edge_angle, user_rate)
-from dronecell.channel import fspl_offset_db, rate_function
+from dronecell.channel import fspl_offset_db, rate_derivatives, rate_function
 from dronecell.params import SPEED_OF_LIGHT
 
 import oracles
@@ -203,6 +203,34 @@ class TestRateFunction:
         # optimizer internals may probe outside the disc
         rate = rate_function(48.0, URBAN)
         assert float(rate(2.5)) < float(rate(2.0))
+
+
+class TestRateDerivatives:
+    @pytest.mark.parametrize("e_r", [0.0, 0.6, 0.95])
+    def test_rate_is_the_kernel(self, e_r):
+        p = URBAN.with_efficiency(e_r)
+        theta = solve_edge_angle(p)
+        k = np.linspace(0.0, 2.5, 501)
+        r, _, _ = rate_derivatives(theta, p)(k)
+        assert np.array_equal(r, rate_function(theta, p)(k))
+
+    @pytest.mark.parametrize("e_r", [0.0, 0.6, 0.95])
+    def test_match_central_differences(self, e_r):
+        p = URBAN.with_efficiency(e_r)
+        theta = solve_edge_angle(p)
+        rate = rate_function(theta, p)
+        terms = rate_derivatives(theta, p)
+        k = np.linspace(1e-3, 2.5, 501)
+        h = 1e-6
+        _, r1, r2 = terms(k)
+        assert np.allclose(r1, (rate(k + h) - rate(k - h)) / (2 * h), rtol=0, atol=1e-8)
+        assert np.allclose(r2, (terms(k + h)[1] - terms(k - h)[1]) / (2 * h),
+                           rtol=0, atol=1e-8)
+
+    def test_finite_slope_at_kappa_zero(self):
+        # the rate has a cone at the user: a finite, negative slope
+        _, r1, r2 = rate_derivatives(48.0, URBAN)(np.zeros(1))
+        assert r1[0] < 0.0 and np.isfinite(r2[0])
 
 
 def test_user_rate_record():

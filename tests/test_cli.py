@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import dronecell
 from dronecell import URBAN, SimConfig, run_simulation
 from dronecell.cli import _resolve_config, build_parser, main
 
@@ -90,6 +92,7 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["config"]["lambda"] == 2.0
+        assert manifest["artifact_version"] == dronecell.__version__
         listed = {e["path"]: e["sha256"] for e in manifest["outputs"]}
         actual = digests(tmp_path)
         assert listed == actual
@@ -253,10 +256,24 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_er_step(self, tmp_path, capsys, value):
+        rc = main(["design", "--er-step", value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: er-step must be finite, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])
         assert rc == 2
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == dronecell.__version__
 
 
 def test_console_script_entry_point():

@@ -1,0 +1,159 @@
+"""The batched MAR solver against a frozen corpus and under properties.
+
+tests/golden/mar_corpus.csv holds 292 fixed instances in the normalized
+frame (N = 1..12: uniform draws, N = 1, all or some users coincident,
+users on the rim, users at the center, tight clusters), the urban
+scenario at its coverage-optimal edge angle. Its positions and
+objectives were written, as repr floats, by the batched Nelder-Mead
+solver of dronecell 0.1.0 (starts as today, xatol = fatol = 1e-10). The
+columns are case, n, users (x y pairs, space separated), x, y, objective.
+"""
+
+import csv
+import math
+import pathlib
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dronecell import URBAN, solve_edge_angle
+from dronecell.channel import rate_derivatives, rate_function
+from dronecell.placement import (_MAX_ITER, _POLAR_GRID, min_enclosing_circle,
+                                 solve_mar_batch)
+
+THETA = solve_edge_angle(URBAN)
+RATE = rate_function(THETA, URBAN)
+RATE_TERMS = rate_derivatives(THETA, URBAN)
+CORPUS = pathlib.Path(__file__).parent / "golden" / "mar_corpus.csv"
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def solve(users):
+    """solve_mar_batch on (B, N, 2) users with their SBC centers."""
+    users = np.asarray(users, dtype=float)
+    centers = np.stack([min_enclosing_circle(u)[0] for u in users])
+    return solve_mar_batch(users, RATE, RATE_TERMS, centers)
+
+
+def objective(position, users):
+    k = np.hypot(users[:, 0] - position[0], users[:, 1] - position[1])
+    return float(RATE(k).sum())
+
+
+def load_corpus():
+    with CORPUS.open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            users = np.array([float(v) for v in row["users"].split()]).reshape(-1, 2)
+            assert users.shape[0] == int(row["n"])
+            yield (users, np.array([float(row["x"]), float(row["y"])]),
+                   float(row["objective"]))
+
+
+def test_matches_frozen_nelder_mead_corpus():
+    worst_gap = worst_dist = 0.0
+    cases = list(load_corpus())
+    assert len(cases) == 292
+    for users, old_pos, old_obj in cases:
+        pos, val = solve(users[None])
+        worst_gap = max(worst_gap, old_obj - val[0])
+        worst_dist = max(worst_dist, math.hypot(*(pos[0] - old_pos)))
+    print(f"\ncorpus: objective at most {worst_gap:.2e} below Nelder-Mead, "
+          f"positions within {worst_dist:.2e}")
+    assert worst_gap <= 1e-12
+    assert worst_dist <= 1e-7
+
+
+def test_corpus_converges_before_the_iteration_cap():
+    # the ascent evaluates rate_terms once per iteration; one corpus case is
+    # one block, so the call count is the iteration count of its slowest start
+    calls = []
+
+    def counting_terms(kappa):
+        calls[-1] += 1
+        return RATE_TERMS(kappa)
+
+    for users, _, _ in load_corpus():
+        calls.append(0)
+        center, _ = min_enclosing_circle(users)
+        solve_mar_batch(users[None], RATE, counting_terms, center[None])
+    print(f"\ncorpus: at most {max(calls)} iterations (cap {_MAX_ITER})")
+    assert max(calls) < _MAX_ITER
+
+
+# users inside the closed unit disc, with the points where a start sits
+# (center, rim, polar grid nodes) drawn often enough to land under a start
+SPECIAL = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.25, 0.0),
+                           (0.5, 0.5), tuple(_POLAR_GRID[37])])
+POLAR = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda rp: (rp[0] * math.cos(rp[1]), rp[0] * math.sin(rp[1])))
+USER = st.one_of(POLAR, SPECIAL)
+
+
+def as_users(points):
+    u = np.array(points, dtype=float).reshape(-1, 2)
+    r = np.hypot(u[:, 0], u[:, 1])
+    return u / np.maximum(r, 1.0)[:, None]
+
+
+@PROPERTY
+@given(st.lists(USER, min_size=1, max_size=8))
+def test_never_below_a_start(points):
+    users = as_users(points)
+    pos, val = solve(users[None])
+    grid = [objective(g, users) for g in _POLAR_GRID]
+    starts = [np.zeros(2), min_enclosing_circle(users)[0],
+              _POLAR_GRID[int(np.argmax(grid))], *users]
+    for s in starts:
+        assert val[0] >= objective(s, users)
+    assert val[0] == objective(pos[0], users)
+
+
+@PROPERTY
+@given(st.lists(USER, min_size=1, max_size=8))
+def test_inside_closed_disc(points):
+    pos, _ = solve(as_users(points)[None])
+    # a point projected onto the rim may round one ulp past it
+    assert math.hypot(*pos[0]) <= 1.0 + 2.0 * np.finfo(float).eps
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(USER, min_size=n, max_size=n), min_size=2, max_size=6)))
+def test_batch_equals_instances_alone(instances):
+    users = np.stack([as_users(p) for p in instances])
+    pos, val = solve(users)
+    for i in range(users.shape[0]):
+        p1, v1 = solve(users[i:i + 1])
+        assert np.array_equal(p1[0], pos[i]) and v1[0] == val[i]
+
+
+# every user coincident (N = 1 included), or a user under the center start;
+# USER draws rim points and polar grid nodes too
+DEGENERATE = st.one_of(
+    st.tuples(USER, st.integers(1, 8)).map(lambda pc: [pc[0]] * pc[1]),
+    st.lists(USER, min_size=0, max_size=6).map(lambda p: [(0.0, 0.0), *p]),
+)
+
+
+@PROPERTY
+@given(DEGENERATE)
+def test_degenerate_inputs_raise_no_warning(points):
+    users = as_users(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos, val = solve(users[None])
+    assert np.all(np.isfinite(pos)) and np.isfinite(val[0])
+    assert val[0] >= objective(users[0], users)
+
+
+def test_coincident_users_stay_put():
+    users = np.array([[0.3, -0.4]] * 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos, val = solve(users[None])
+    assert np.array_equal(pos[0], users[0])
+    assert val[0] == objective(users[0], users)
