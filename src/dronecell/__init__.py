@@ -9,11 +9,9 @@ from .design import (AntennaModel, CellGeometry, NearDegenerateWarning,
                      NoOptimumError, cell_geometry, edge_angle_objective,
                      ideal_directivity, log_dmax_offset, solve_edge_angle)
 from .params import SPEED_OF_LIGHT, URBAN, ScenarioParams
-from .placement import (Strategy, UserSet, cmp_position, mar_objective,
-                        mar_position, min_enclosing_circle, sbc_position,
-                        static_position)
-from .sim import (Ecdf, SimConfig, empirical_cdf, run_simulation,
-                  sample_user_count, sample_users_uniform_disc)
+from .placement import Strategy, min_enclosing_circle
+from .sim import (SimConfig, run_simulation, sample_user_count,
+                  sample_users_uniform_disc)
 
 __all__ = [
     "SPEED_OF_LIGHT", "URBAN", "ScenarioParams",
@@ -22,9 +20,8 @@ __all__ = [
     "ideal_directivity", "edge_angle_objective", "log_dmax_offset",
     "solve_edge_angle", "cell_geometry", "AntennaModel", "CellGeometry",
     "NoOptimumError", "NearDegenerateWarning",
-    "Strategy", "UserSet", "min_enclosing_circle", "static_position",
-    "sbc_position", "mar_position", "cmp_position", "mar_objective",
+    "Strategy", "min_enclosing_circle",
     "SimConfig", "run_simulation", "sample_user_count",
-    "sample_users_uniform_disc", "empirical_cdf", "Ecdf",
+    "sample_users_uniform_disc",
     "__version__",
 ]

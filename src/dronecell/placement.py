@@ -1,26 +1,22 @@
-"""Drone repositioning strategies for one timeslot's active users.
+"""Drone placement strategies and the solvers behind them.
 
-Four placements are supported: the static cell center, the center of the
+The four placements are the static cell center, the center of the
 smallest bounding circle of the users (SBC, minimax fairness), the point
 of maximum aggregate rate (MAR), and the center-most point of the two
-(CMP). All solvers work in a normalized frame with the cell center at the
-origin and unit cell radius; public results are mapped back to metric
-coordinates. Everything here is deterministic: identical inputs produce
-bit-identical outputs.
+(CMP). This module names them and holds the two solvers,
+min_enclosing_circle and solve_mar_batch; the engine (sim) applies the
+policy that combines them. The MAR solver works in a normalized frame
+with the cell center at the origin and unit cell radius. Everything here
+is deterministic: identical inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import rate_derivatives, rate_function
-from .params import ScenarioParams
-
-_CONTAINMENT_SLACK = 1e-9
 # multiplicative tolerance for point-in-circle tests; keeps the incremental
 # construction stable without inflating the circle measurably
 _IN_CIRCLE_EPS = 1.0 + 1e-12
@@ -30,7 +26,7 @@ _MAX_ITER = 100        # MAR ascent iteration cap
 _XTOL = 1e-10          # MAR step length below which an instance has converged
 _CONE_EPS = 1e-12      # a user this close sits under the iterate, on its cone
 _SNAP_RADIUS = 1e-3    # reach of the move onto a strictly better user
-_ASCENT_BLOCK = 16384  # instances x users per block; bounds the working set
+_ASCENT_BLOCK = 16384  # MAR starts x users per block; bounds the working set
 
 
 class Strategy(str, Enum):
@@ -38,61 +34,6 @@ class Strategy(str, Enum):
     SBC = "sbc"
     MAR = "mar"
     CMP = "cmp"
-
-
-@dataclass(frozen=True, eq=False)
-class UserSet:
-    """Active users of one timeslot inside a designated cell.
-
-    users has shape (n, 2) in meters; may be empty (idle timeslot). Every
-    user must lie within d_max of cell_center.
-    """
-
-    users: np.ndarray
-    cell_center: np.ndarray
-    d_max: float
-
-    def __post_init__(self) -> None:
-        users = np.asarray(self.users, dtype=float)
-        if users.size == 0:
-            users = users.reshape(0, 2)
-        users = np.atleast_2d(users)
-        if users.ndim != 2 or users.shape[1] != 2:
-            raise ValueError(f"users must have shape (n, 2), got {users.shape}")
-        center = np.asarray(self.cell_center, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(users)) and np.all(np.isfinite(center))):
-            raise ValueError("coordinates must be finite")
-        if not self.d_max > 0.0:
-            raise ValueError(f"cell radius must be positive, got {self.d_max}")
-        r = np.hypot(users[:, 0] - center[0], users[:, 1] - center[1])
-        if np.any(r > self.d_max * (1.0 + _CONTAINMENT_SLACK) + _CONTAINMENT_SLACK):
-            raise ValueError("every user must lie inside the designated cell")
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "cell_center", center)
-        object.__setattr__(self, "d_max", float(self.d_max))
-
-    @property
-    def n_users(self) -> int:
-        return self.users.shape[0]
-
-    def normalized(self) -> np.ndarray:
-        """User coordinates with the cell center at the origin, unit radius."""
-        return (self.users - self.cell_center) / self.d_max
-
-
-@dataclass(frozen=True, eq=False)
-class PlacementResult:
-    """Drone position chosen by one strategy plus the per-user geometry.
-
-    kappas[i] is the horizontal distance from user i to the position,
-    normalized by the cell radius. aggregate_rate is the summed per-user
-    expected rate, or None when no channel context was supplied.
-    """
-
-    strategy: Strategy
-    position: np.ndarray
-    kappas: np.ndarray
-    aggregate_rate: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -198,97 +139,6 @@ def _mec_with_two(pts, p, q):
 
 
 # ---------------------------------------------------------------------------
-# Strategies
-# ---------------------------------------------------------------------------
-
-def _make_rate(theta_edge_deg, params):
-    if theta_edge_deg is None and params is None:
-        return None
-    if theta_edge_deg is None or params is None:
-        raise ValueError("supply both theta_edge_deg and params, or neither")
-    return rate_function(theta_edge_deg, params)
-
-
-def _result(strategy: Strategy, users: UserSet, pos_norm, rate) -> PlacementResult:
-    pos_norm = np.asarray(pos_norm, dtype=float)
-    u = users.normalized()
-    kappas = np.hypot(u[:, 0] - pos_norm[0], u[:, 1] - pos_norm[1])
-    aggregate = float(np.sum(rate(kappas))) if rate is not None else None
-    position = users.cell_center + pos_norm * users.d_max
-    return PlacementResult(strategy=strategy, position=position,
-                           kappas=kappas, aggregate_rate=aggregate)
-
-
-def static_position(users: UserSet, theta_edge_deg: float | None = None,
-                    params: ScenarioParams | None = None) -> PlacementResult:
-    """Baseline: the drone stays at the cell center."""
-    rate = _make_rate(theta_edge_deg, params)
-    return _result(Strategy.STATIC, users, np.zeros(2), rate)
-
-
-def sbc_position(users: UserSet, theta_edge_deg: float | None = None,
-                 params: ScenarioParams | None = None) -> PlacementResult:
-    """Center of the smallest bounding circle of the active users.
-
-    Minimizes the largest user distance; no user is ever left beyond the
-    cell radius. An empty timeslot places the drone at the cell center.
-    """
-    rate = _make_rate(theta_edge_deg, params)
-    if users.n_users == 0:
-        return _result(Strategy.SBC, users, np.zeros(2), rate)
-    center, _ = min_enclosing_circle(users.normalized())
-    return _result(Strategy.SBC, users, center, rate)
-
-
-def mar_objective(position, users: UserSet, theta_edge_deg: float,
-                  params: ScenarioParams) -> float:
-    """Aggregate expected rate over all users for a candidate drone position.
-
-    The position must lie inside the cell disc.
-    """
-    rate = rate_function(theta_edge_deg, params)
-    pos = np.asarray(position, dtype=float).reshape(2)
-    pos_norm = (pos - users.cell_center) / users.d_max
-    if math.hypot(pos_norm[0], pos_norm[1]) > 1.0 + _CONTAINMENT_SLACK:
-        raise ValueError("candidate position lies outside the cell disc")
-    return _result(Strategy.MAR, users, pos_norm, rate).aggregate_rate
-
-
-def mar_position(users: UserSet, theta_edge_deg: float,
-                 params: ScenarioParams) -> PlacementResult:
-    """Approximate global maximizer of the aggregate rate over the cell disc.
-
-    Multi-start damped-Newton ascent seeded at the cell center, every
-    user, the SBC center and the best of a coarse polar grid; the returned
-    objective is never below any of those candidates. An empty timeslot
-    places the drone at the cell center.
-    """
-    rate = _make_rate(theta_edge_deg, params)
-    if users.n_users == 0:
-        return _result(Strategy.MAR, users, np.zeros(2), rate)
-    u = users.normalized()[None, :, :]
-    sbc_center, _ = min_enclosing_circle(users.normalized())
-    pos, _ = solve_mar_batch(u, rate, rate_derivatives(theta_edge_deg, params),
-                             sbc_center[None, :])
-    return _result(Strategy.MAR, users, pos[0], rate)
-
-
-def cmp_position(users: UserSet, theta_edge_deg: float,
-                 params: ScenarioParams) -> PlacementResult:
-    """Center-most point: whichever of the SBC and MAR positions lies
-    closer to the cell center; ties go to the SBC (fairness) position."""
-    sbc = sbc_position(users, theta_edge_deg, params)
-    mar = mar_position(users, theta_edge_deg, params)
-    c = users.cell_center
-    d_sbc = math.hypot(*(sbc.position - c))
-    d_mar = math.hypot(*(mar.position - c))
-    chosen = sbc if d_sbc <= d_mar else mar
-    return PlacementResult(strategy=Strategy.CMP, position=chosen.position,
-                           kappas=chosen.kappas,
-                           aggregate_rate=chosen.aggregate_rate)
-
-
-# ---------------------------------------------------------------------------
 # Batched MAR solver
 # ---------------------------------------------------------------------------
 
@@ -323,6 +173,18 @@ def solve_mar_batch(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
     """
     users = np.asarray(users, dtype=float)
     b, n, _ = users.shape
+    size = max(1, _ASCENT_BLOCK // (n * (n + 3)))  # instances of N + 3 starts
+    positions, values = np.empty((b, 2)), np.empty(b)
+    for i in range(0, b, size):
+        positions[i:i + size], values[i:i + size] = _solve_block(
+            users[i:i + size], rate, rate_terms, sbc_centers[i:i + size])
+    return positions, values
+
+
+def _solve_block(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """solve_mar_batch on one block of instances, every start at once."""
+    b = users.shape[0]
     grid_vals = _aggregate_rates(np.broadcast_to(_POLAR_GRID, (b,) + _POLAR_GRID.shape),
                                  users, rate)
     grid_best = _POLAR_GRID[np.argmax(grid_vals, axis=1)]
@@ -333,11 +195,8 @@ def solve_mar_batch(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
         grid_best[:, None, :],
     ], axis=1)  # (B, S, 2)
     s = starts.shape[1]
-    x0, inst_users = starts.reshape(-1, 2), np.repeat(users, s, axis=0)
-    size = max(1, _ASCENT_BLOCK // n)
-    finals = np.concatenate([
-        _newton_ascent(x0[i:i + size], inst_users[i:i + size], rate, rate_terms)
-        for i in range(0, x0.shape[0], size)])
+    finals = _newton_ascent(starts.reshape(-1, 2), np.repeat(users, s, axis=0),
+                            rate, rate_terms)
     # project onto the closed cell disc (a projection never lowers the
     # objective: users live inside the disc)
     finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]

@@ -25,6 +25,8 @@ from .params import ScenarioParams
 from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
 _CHUNK_SLOTS = 4096
+_MAX_USERS_PER_SLOT = 1000    # bound on lam and fixed_n
+_MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots x users per slot
 _DRAW_COUNT = 0
 _DRAW_POSITION = 1
 
@@ -38,7 +40,9 @@ class SimConfig:
     lam is the mean number of active users per timeslot; fixed_n overrides
     the Poisson draw with a constant count. d_max only sets the metric
     scale: rates and travel distances depend on the cell proportions, not
-    its absolute size.
+    its absolute size. A campaign has at most _MAX_USERS_PER_SLOT users per
+    slot and _MAX_USER_SAMPLES expected user samples in all, so that it
+    cannot exhaust memory.
     """
 
     scenario: ScenarioParams
@@ -63,8 +67,15 @@ class SimConfig:
                 raise ValueError(f"lambda must be positive, got {self.lam}")
         elif self.fixed_n < 1:
             raise ValueError(f"fixed_n must be >= 1, got {self.fixed_n}")
+        per_slot = self.lam if self.fixed_n is None else self.fixed_n
+        if per_slot > _MAX_USERS_PER_SLOT:
+            name = "lambda" if self.fixed_n is None else "fixed_n"
+            raise ValueError(f"{name} must be at most {_MAX_USERS_PER_SLOT}, got {per_slot}")
         if self.n_timeslots < 1:
             raise ValueError(f"n_timeslots must be >= 1, got {self.n_timeslots}")
+        if self.n_timeslots * per_slot > _MAX_USER_SAMPLES:
+            raise ValueError(f"n_timeslots x users per slot must be at most "
+                             f"{_MAX_USER_SAMPLES:.0e}, got {self.n_timeslots * per_slot:.3g}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.d_max < math.inf:
@@ -137,64 +148,51 @@ def _slot_users(config: SimConfig, timeslot: int) -> np.ndarray:
 # Chunked engine
 # ---------------------------------------------------------------------------
 
-def _needed_strategies(requested: tuple[Strategy, ...]) -> set[Strategy]:
-    need = set(requested)
-    if Strategy.CMP in need:
-        need |= {Strategy.SBC, Strategy.MAR}
-    if Strategy.MAR in need:
-        need.add(Strategy.SBC)  # the SBC center seeds the MAR search
-    return need
-
-
 def _run_chunk(config: SimConfig, start: int, stop: int) -> dict:
     """Simulate timeslots [start, stop) and return normalized-frame arrays."""
-    length = stop - start
-    counts = np.empty(length, dtype=np.int64)
-    users_list = []
-    for t in range(start, stop):
-        pts = _slot_users(config, t) / config.d_max
-        counts[t - start] = pts.shape[0]
-        users_list.append(pts)
-    users_flat = (np.concatenate(users_list, axis=0) if users_list
-                  else np.empty((0, 2)))
+    users = [_slot_users(config, t) / config.d_max for t in range(start, stop)]
+    return {
+        "counts": np.array([pts.shape[0] for pts in users], dtype=np.int64),
+        "users": np.concatenate(users, axis=0) if users else np.empty((0, 2)),
+        "positions": _place_slots(users, config.strategies, config.scenario),
+    }
 
-    need = _needed_strategies(config.strategies)
-    positions: dict[Strategy, np.ndarray] = {}
-    if Strategy.STATIC in need:
-        positions[Strategy.STATIC] = np.zeros((length, 2))
-    if Strategy.SBC in need:
+
+def _place_slots(users: list[np.ndarray], strategies: tuple[Strategy, ...],
+                 scenario: ScenarioParams) -> dict[Strategy, np.ndarray]:
+    """Drone positions of every requested strategy, {strategy: (L, 2)}, for
+    L slots of users, each an (n, 2) array in the normalized frame.
+
+    An empty slot keeps the drone at the cell center. The SBC center seeds
+    the MAR search, which runs on batches of slots with the same user
+    count. CMP takes the SBC or the MAR position, whichever is nearer the
+    center; ties go to the SBC (fairness) position.
+    """
+    length = len(users)
+    positions = {Strategy.STATIC: np.zeros((length, 2))}
+    need_mar = Strategy.MAR in strategies or Strategy.CMP in strategies
+    if need_mar or Strategy.SBC in strategies:
         sbc = np.zeros((length, 2))
-        for i, pts in enumerate(users_list):
+        for i, pts in enumerate(users):
             if pts.shape[0]:
                 sbc[i], _ = min_enclosing_circle(pts)
         positions[Strategy.SBC] = sbc
-    if Strategy.MAR in need:
-        theta = solve_edge_angle(config.scenario)
-        rate = rate_function(theta, config.scenario)
-        rate_terms = rate_derivatives(theta, config.scenario)
-        mar = np.zeros((length, 2))
+    if need_mar:
+        theta = solve_edge_angle(scenario)
+        rate = rate_function(theta, scenario)
+        rate_terms = rate_derivatives(theta, scenario)
         by_n: dict[int, list[int]] = {}
-        for i, c in enumerate(counts):
-            if c > 0:
-                by_n.setdefault(int(c), []).append(i)
-        for n, rows in sorted(by_n.items()):
-            batch = np.stack([users_list[i] for i in rows], axis=0)
-            centers = positions[Strategy.SBC][rows]
-            pos, _ = solve_mar_batch(batch, rate, rate_terms, centers)
-            mar[rows] = pos
+        for i, pts in enumerate(users):
+            if pts.shape[0]:
+                by_n.setdefault(pts.shape[0], []).append(i)
+        mar = np.zeros((length, 2))
+        for _, rows in sorted(by_n.items()):
+            mar[rows], _ = solve_mar_batch(np.stack([users[i] for i in rows]),
+                                           rate, rate_terms, sbc[rows])
+        use_sbc = np.hypot(*sbc.T) <= np.hypot(*mar.T)
         positions[Strategy.MAR] = mar
-    if Strategy.CMP in need:
-        d_sbc = np.hypot(*positions[Strategy.SBC].T)
-        d_mar = np.hypot(*positions[Strategy.MAR].T)
-        use_sbc = d_sbc <= d_mar
-        positions[Strategy.CMP] = np.where(use_sbc[:, None],
-                                           positions[Strategy.SBC],
-                                           positions[Strategy.MAR])
-    return {
-        "counts": counts,
-        "users": users_flat,
-        "positions": {s: positions[s] for s in config.strategies},
-    }
+        positions[Strategy.CMP] = np.where(use_sbc[:, None], sbc, mar)
+    return {s: positions[s] for s in strategies}
 
 
 def _nearest_rank(sorted_vals: np.ndarray, pct: float) -> float:
@@ -240,7 +238,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     if workers == 1 or len(tasks) == 1:
         chunks = [_run_chunk(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
     counts = np.concatenate([c["counts"] for c in chunks])
@@ -262,36 +260,3 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
                         n_timeslots=config.n_timeslots,
                         n_users_total=n_users_total,
                         per_strategy=per_strategy)
-
-
-# ---------------------------------------------------------------------------
-# Empirical distributions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Ecdf:
-    """Step empirical CDF over a sorted sample set."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __call__(self, x):
-        out = np.searchsorted(self.values, np.asarray(x, dtype=float),
-                              side="right") / len(self.values)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def percentile(self, pct: float) -> float:
-        """Nearest-rank percentile, pct in (0, 100]."""
-        return _nearest_rank(self.values, pct)
-
-    def __iter__(self):
-        return iter(zip(self.values, self.probs))
-
-
-def empirical_cdf(samples) -> Ecdf:
-    """Empirical CDF of a non-empty sample set."""
-    vals = np.sort(np.asarray(samples, dtype=float).ravel())
-    if vals.size == 0:
-        raise ValueError("need at least one sample")
-    probs = np.arange(1, vals.size + 1) / vals.size
-    return Ecdf(values=vals, probs=probs)

@@ -13,14 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from dronecell import (URBAN, SimConfig, Strategy, UserSet, max_gain,
+from dronecell import (URBAN, SimConfig, Strategy, max_gain,
                        run_simulation, solve_edge_angle, user_rate)
 from dronecell.channel import expected_path_loss_db
 from dronecell.cli import main
-from dronecell.placement import mar_position, min_enclosing_circle
+from dronecell.placement import min_enclosing_circle
 from dronecell.sim import _run_chunk
 
 import oracles
+from one_slot import place
 
 N_SLOTS = 100_000
 SEED = 1
@@ -222,8 +223,7 @@ def test_criterion_11_geometry_oracles():
         rad = np.sqrt(rng.random(n))
         phi = 2.0 * math.pi * rng.random(n)
         users_norm = np.stack([rad * np.cos(phi), rad * np.sin(phi)], axis=1)
-        users = UserSet(users=users_norm * 500.0, cell_center=np.zeros(2), d_max=500.0)
-        res = mar_position(users, THETA, URBAN)
+        res = place(users_norm, Strategy.MAR)
         grid_best = oracles.grid_search_aggregate(users_norm, THETA, URBAN, n_grid=2001)
         worst_gap = max(worst_gap, grid_best - res.aggregate_rate)
     ok_mar = worst_gap < 1e-3

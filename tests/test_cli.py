@@ -256,6 +256,17 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lambda", "1e7", "lambda must be at most 1000, got 10000000.0"),
+        ("--fixed-n", "1000000000", "fixed_n must be at most 1000, got 1000000000"),
+        ("--timeslots", "10000000000000",
+         "n_timeslots x users per slot must be at most 5e+07, got 5e+13")])
+    def test_campaign_too_large(self, tmp_path, capsys, flag, value, message):
+        rc = main(["simulate", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_er_step(self, tmp_path, capsys, value):
         rc = main(["design", "--er-step", value, "--out", str(tmp_path)])

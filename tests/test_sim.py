@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dronecell import (URBAN, SimConfig, Strategy, UserSet, cmp_position,
-                       empirical_cdf, mar_position, rate_function, run_simulation,
-                       sample_user_count, sample_users_uniform_disc, sbc_position,
-                       solve_edge_angle, static_position)
-from dronecell.sim import _run_chunk, _slot_users, _stream
+import dronecell.sim as sim
+from dronecell import (URBAN, SimConfig, Strategy, rate_function, run_simulation,
+                       sample_user_count, sample_users_uniform_disc,
+                       solve_edge_angle)
+from dronecell.sim import _nearest_rank, _place_slots, _run_chunk, _slot_users, _stream
 
 import oracles
 
 THETA = solve_edge_angle(URBAN)
-PLACEMENTS = {Strategy.STATIC: static_position, Strategy.SBC: sbc_position,
-              Strategy.MAR: mar_position, Strategy.CMP: cmp_position}
 
 
 def chunk_slots(cfg):
@@ -100,20 +98,52 @@ class TestEngine:
                                   four.per_strategy[s].travel_samples)
 
     def test_matches_per_slot_evaluation(self):
-        # the public per-slot placement functions are the oracle
+        # each slot placed alone gives its chunk row, bit for bit
         cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=40, seed=13)
         users, positions = chunk_slots(cfg)
         stats = run_simulation(cfg)
+        alone = [_place_slots([pts], cfg.strategies, URBAN) for pts in users]
         for s in cfg.strategies:
-            ref = np.array([PLACEMENTS[s](UserSet(users=pts * cfg.d_max,
-                                                  cell_center=[0.0, 0.0],
-                                                  d_max=cfg.d_max),
-                                          THETA, URBAN).position
-                            for pts in users]) / cfg.d_max
-            assert np.allclose(positions[s], ref, atol=1e-9)
+            ref = np.concatenate([a[s] for a in alone])
+            assert np.array_equal(positions[s], ref)
             prev = np.vstack([np.zeros(2), ref[:-1]])
-            assert np.allclose(stats.per_strategy[s].travel_samples,
-                               np.sort(np.hypot(*(ref - prev).T)), atol=1e-9)
+            assert np.array_equal(stats.per_strategy[s].travel_samples,
+                                  np.sort(np.hypot(*(ref - prev).T)))
+
+    def test_bit_identical_across_chunk_sizes(self, monkeypatch):
+        cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=300, seed=4)
+        runs = []
+        for chunk in (7, 64, 4096):
+            monkeypatch.setattr(sim, "_CHUNK_SLOTS", chunk)
+            runs.append(run_simulation(cfg).per_strategy)
+        for s in cfg.strategies:
+            for other in runs[1:]:
+                assert np.array_equal(other[s].rate_samples, runs[0][s].rate_samples)
+                assert np.array_equal(other[s].travel_samples, runs[0][s].travel_samples)
+
+    def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
+        # a fake pool: records its size and runs the chunks in this process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS,
+                        seed=2, strategies=(Strategy.STATIC,))
+        stats = run_simulation(cfg, workers=100_000)
+        assert sizes == [2]
+        assert stats.n_timeslots == cfg.n_timeslots
 
     def test_empty_slot_returns_to_center(self):
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=200, seed=5)
@@ -207,34 +237,11 @@ def test_dynamic_gain_shrinks_with_crowd():
         assert series[-1] >= static_mean - 0.01
 
 
-class TestEcdf:
-    def test_step_values(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf(2.5) == 0.5
-        assert cdf(0.5) == 0.0
-        assert cdf(4.0) == 1.0
-
+class TestNearestRank:
     def test_nearest_rank_percentile(self):
-        cdf = empirical_cdf(np.arange(1, 101))
-        assert cdf.percentile(5.0) == 5.0
-        assert cdf.percentile(100.0) == 100.0
+        vals = np.arange(1, 101, dtype=float)
+        assert _nearest_rank(vals, 5.0) == 5.0
+        assert _nearest_rank(vals, 100.0) == 100.0
 
     def test_single_sample(self):
-        cdf = empirical_cdf([7.0])
-        assert cdf(6.9) == 0.0 and cdf(7.0) == 1.0
-        assert cdf.percentile(5.0) == 7.0
-
-    def test_monotone_and_complete(self):
-        rng = np.random.default_rng(29)
-        cdf = empirical_cdf(rng.normal(size=500))
-        assert np.all(np.diff(cdf.probs) > 0.0)
-        assert cdf.probs[-1] == 1.0
-        assert list(cdf)[0][0] == cdf.values[0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    def test_vectorized_evaluation(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(cdf(np.array([0.0, 2.5, 9.0])), [0.0, 0.5, 1.0])
+        assert _nearest_rank(np.array([7.0]), 5.0) == 7.0
