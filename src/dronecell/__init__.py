@@ -3,11 +3,11 @@ horizontal repositioning gains under Poisson user populations."""
 
 __version__ = "0.2.0"
 
-from .channel import (UserRate, expected_path_loss_db, g_pos, max_gain, p_los,
-                      path_loss_los, path_loss_nlos, rate_function, user_rate)
-from .design import (AntennaModel, CellGeometry, NearDegenerateWarning,
-                     NoOptimumError, cell_geometry, edge_angle_objective,
-                     ideal_directivity, log_dmax_offset, solve_edge_angle)
+from .channel import (expected_path_loss_db, g_pos, max_gain, p_los, rate_function,
+                      user_rate)
+from .design import (CellGeometry, NearDegenerateWarning, NoOptimumError,
+                     edge_angle_objective, ideal_directivity, log_dmax_offset,
+                     solve_edge_angle)
 from .params import SPEED_OF_LIGHT, URBAN, ScenarioParams
 from .placement import Strategy, min_enclosing_circle
 from .sim import (SimConfig, run_simulation, sample_user_count,
@@ -15,10 +15,9 @@ from .sim import (SimConfig, run_simulation, sample_user_count,
 
 __all__ = [
     "SPEED_OF_LIGHT", "URBAN", "ScenarioParams",
-    "p_los", "path_loss_los", "path_loss_nlos", "expected_path_loss_db",
-    "g_pos", "user_rate", "rate_function", "max_gain", "UserRate",
-    "ideal_directivity", "edge_angle_objective", "log_dmax_offset",
-    "solve_edge_angle", "cell_geometry", "AntennaModel", "CellGeometry",
+    "p_los", "expected_path_loss_db", "g_pos", "user_rate", "rate_function",
+    "max_gain", "ideal_directivity", "edge_angle_objective", "log_dmax_offset",
+    "solve_edge_angle", "CellGeometry",
     "NoOptimumError", "NearDegenerateWarning",
     "Strategy", "min_enclosing_circle",
     "SimConfig", "run_simulation", "sample_user_count",

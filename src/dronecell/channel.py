@@ -9,7 +9,6 @@ therefore never appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +38,6 @@ def p_los(theta_user_deg, params: ScenarioParams):
 def fspl_offset_db(params: ScenarioParams) -> float:
     """Frequency part of the free-space path loss: 20*log10(4*pi*f/c), dB."""
     return 20.0 * math.log10(params.freq_hz * 4.0 * math.pi / SPEED_OF_LIGHT)
-
-
-def _path_loss(d, params, directivity_db, eta):
-    dist = np.asarray(d, dtype=float)
-    if np.any(dist <= 0.0):
-        raise ValueError("propagation distance must be positive")
-    out = -directivity_db + 20.0 * np.log10(dist) + fspl_offset_db(params) + eta
-    return _scalar_like(out, d)
-
-
-def path_loss_los(d, params: ScenarioParams, directivity_db: float = 0.0):
-    """Path loss of the LoS group at slant distance d (meters), dB."""
-    return _path_loss(d, params, directivity_db, params.eta_los)
-
-
-def path_loss_nlos(d, params: ScenarioParams, directivity_db: float = 0.0):
-    """Path loss of the NLoS group at slant distance d (meters), dB."""
-    return _path_loss(d, params, directivity_db, params.eta_nlos)
 
 
 def g_pos(kappa, theta_edge_deg: float, params: ScenarioParams):
@@ -178,23 +159,6 @@ def max_gain(e_r: float, params: ScenarioParams) -> float:
     p = params.with_efficiency(e_r)
     theta = solve_edge_angle(p)
     return user_rate(0.0, theta, p)
-
-
-@dataclass(frozen=True)
-class UserRate:
-    """Per-user link summary: normalized distance, elevation angle, rate."""
-
-    kappa: float
-    theta_user_deg: float
-    rate: float
-
-    @classmethod
-    def from_kappa(cls, kappa: float, theta_edge_deg: float,
-                   params: ScenarioParams) -> "UserRate":
-        r = user_rate(kappa, theta_edge_deg, params)
-        t = math.tan(math.radians(theta_edge_deg))
-        theta_user = math.degrees(math.atan2(t, kappa))
-        return cls(kappa=float(kappa), theta_user_deg=theta_user, rate=float(r))
 
 
 def _check_edge_angle(theta_edge_deg: float) -> None:

@@ -46,6 +46,9 @@ _DEFAULTS = {
     "er_step": 0.05,
 }
 
+# the largest e_r sweep; the row list is built before any row is solved
+_MAX_SWEEP_ROWS = 10**6
+
 # argparse dest -> config key ("lambda" is a Python keyword)
 _FLAG_KEYS = {("lam" if key == "lambda" else key): key for key in _DEFAULTS}
 
@@ -139,7 +142,11 @@ def _er_sweep(cfg: dict) -> list[float]:
         raise ValueError(f"er-step must be positive, got {step}")
     if not (0.0 <= lo <= hi < 1.0):
         raise ValueError(f"efficiency sweep must satisfy 0 <= min <= max < 1, got [{lo}, {hi}]")
-    n = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    if span + 1.0 > _MAX_SWEEP_ROWS:
+        raise ValueError(
+            f"efficiency sweep must have at most {_MAX_SWEEP_ROWS} rows, got {span + 1.0:.4g}")
+    n = int(round(span)) + 1
     values = [round(lo + i * step, 12) for i in range(n)]
     return [v for v in values if v < 1.0]
 

@@ -76,13 +76,19 @@ def edge_angle_objective(theta_deg, params: ScenarioParams):
     th = np.asarray(theta_deg, dtype=float)
     if np.any(th <= 0.0) or np.any(th >= 90.0):
         raise ValueError("edge angle must lie in (0, 90) degrees")
+    out = _residual(th, params)
+    return float(out) if np.ndim(theta_deg) == 0 else out
+
+
+def _residual(th, params: ScenarioParams):
+    # edge_angle_objective without the range check, for float64 arrays or
+    # np.float64 scalars; the bisection calls it once per step
     rad = np.radians(th)
     bump = params.a * np.exp(-params.b * (th - params.a))
     gap = params.eta_los - params.eta_nlos
-    out = math.pi * np.tan(rad) / (9.0 * _LN10) \
+    return math.pi * np.tan(rad) / (9.0 * _LN10) \
         + params.b * gap * bump / (1.0 + bump) ** 2 \
         - params.e_r * math.pi * np.cos(rad) / (18.0 * _LN10 * (1.0 - np.sin(rad)))
-    return float(out) if np.ndim(theta_deg) == 0 else out
 
 
 def _bisect_root(lo: float, hi: float, f_lo: float, params: ScenarioParams) -> float:
@@ -90,7 +96,7 @@ def _bisect_root(lo: float, hi: float, f_lo: float, params: ScenarioParams) -> f
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # float resolution reached
             break
-        f_mid = edge_angle_objective(mid, params)
+        f_mid = float(_residual(np.float64(mid), params))
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -111,13 +117,11 @@ def solve_edge_angle(params: ScenarioParams) -> float:
     """
     grid = np.arange(_SCAN_LO_DEG, _SCAN_HI_DEG + 0.5 * _SCAN_STEP_DEG, _SCAN_STEP_DEG)
     vals = edge_angle_objective(grid, params)
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect_root(float(grid[i]), float(grid[i + 1]),
-                                      float(vals[i]), params))
+    # grid points that are roots or open a sign change, in grid order
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots = [float(grid[i]) if vals[i] == 0.0 else
+             _bisect_root(float(grid[i]), float(grid[i + 1]), float(vals[i]), params)
+             for i in hits]
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     if not roots:
@@ -130,23 +134,6 @@ def solve_edge_angle(params: ScenarioParams) -> float:
             f"optimal edge angle {theta:.3f} deg exceeds {NEAR_DEGENERATE_DEG} deg; "
             "geometry is near-degenerate", NearDegenerateWarning, stacklevel=2)
     return theta
-
-
-@dataclass(frozen=True)
-class AntennaModel:
-    """Conical-beam antenna sized for a given cell edge angle."""
-
-    e_r: float
-    theta_edge_deg: float
-    ideal_directivity: float
-    effective_directivity_db: float
-
-    @classmethod
-    def design(cls, e_r: float, theta_edge_deg: float) -> "AntennaModel":
-        d_i = ideal_directivity(theta_edge_deg)
-        return cls(e_r=float(e_r), theta_edge_deg=float(theta_edge_deg),
-                   ideal_directivity=d_i,
-                   effective_directivity_db=e_r * 10.0 * math.log10(d_i))
 
 
 @dataclass(frozen=True)
@@ -165,8 +152,3 @@ class CellGeometry:
     def from_edge_angle(cls, theta_edge_deg: float, d_max: float) -> "CellGeometry":
         return cls(theta_edge_deg=float(theta_edge_deg), d_max=float(d_max),
                    altitude=float(d_max) * math.tan(math.radians(theta_edge_deg)))
-
-
-def cell_geometry(d_max: float, params: ScenarioParams) -> CellGeometry:
-    """Solve the edge angle for these parameters and size the cell to d_max."""
-    return CellGeometry.from_edge_angle(solve_edge_angle(params), d_max)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dronecell import (URBAN, ScenarioParams, UserRate, expected_path_loss_db,
-                       g_pos, max_gain, p_los, path_loss_los, path_loss_nlos,
-                       solve_edge_angle, user_rate)
+from dronecell import (URBAN, ScenarioParams, expected_path_loss_db, g_pos,
+                       ideal_directivity, max_gain, p_los, solve_edge_angle, user_rate)
 from dronecell.channel import fspl_offset_db, rate_derivatives, rate_function
 from dronecell.params import SPEED_OF_LIGHT
 
@@ -39,28 +38,30 @@ class TestPLos:
 
 
 class TestPathLoss:
+    # the free-space part of expected_path_loss_db: with no excess loss
+    # (FLAT) and e_r = 0, a user under a drone whose edge angle is 45 degrees
+    # sees the slant distance d_max
     def test_zero_at_reference_distance(self):
         # d = c/(4 pi f) cancels the free-space term by construction
         d = SPEED_OF_LIGHT / (4.0 * math.pi * FLAT.freq_hz)
-        assert path_loss_los(d, FLAT) == pytest.approx(0.0, abs=1e-9)
-
-    def test_nlos_exceeds_los_by_eta_gap(self):
-        for d in (1.0, 50.0, 1.2e4):
-            gap = path_loss_nlos(d, URBAN) - path_loss_los(d, URBAN)
-            assert gap == pytest.approx(19.0, abs=1e-12)
+        assert expected_path_loss_db(0.0, 45.0, d, FLAT) == pytest.approx(0.0, abs=1e-9)
 
     def test_frozen_free_space_value(self):
         # 2 GHz, 100 m, no shadowing, isotropic
-        assert path_loss_los(100.0, FLAT) == pytest.approx(78.468383135163, abs=1e-9)
+        assert expected_path_loss_db(0.0, 45.0, 100.0, FLAT) == pytest.approx(
+            78.468383135163, abs=1e-9)
 
     def test_directivity_subtracts(self):
-        assert path_loss_los(100.0, FLAT, directivity_db=3.0) == pytest.approx(
-            path_loss_los(100.0, FLAT) - 3.0, abs=1e-12)
+        for theta_e in (20.0, 45.0, 70.0):
+            iso = expected_path_loss_db(0.5, theta_e, 100.0, FLAT)
+            directed = expected_path_loss_db(0.5, theta_e, 100.0, FLAT.with_efficiency(0.6))
+            assert directed == pytest.approx(
+                iso - 0.6 * 10.0 * math.log10(ideal_directivity(theta_e)), abs=1e-12)
 
     @pytest.mark.parametrize("d", [0.0, -1.0])
     def test_rejects_nonpositive_distance(self, d):
         with pytest.raises(ValueError):
-            path_loss_los(d, URBAN)
+            expected_path_loss_db(0.5, 45.0, d, URBAN)
 
 
 class TestExpectedPathLoss:
@@ -231,10 +232,3 @@ class TestRateDerivatives:
         # the rate has a cone at the user: a finite, negative slope
         _, r1, r2 = rate_derivatives(48.0, URBAN)(np.zeros(1))
         assert r1[0] < 0.0 and np.isfinite(r2[0])
-
-
-def test_user_rate_record():
-    rec = UserRate.from_kappa(1.0, 42.44, URBAN)
-    assert rec.rate == 1.0
-    assert rec.theta_user_deg == pytest.approx(42.44, abs=1e-12)
-    assert UserRate.from_kappa(0.0, 42.44, URBAN).theta_user_deg == 90.0

@@ -167,6 +167,15 @@ class TestGoldenFiles:
         golden = pathlib.Path(__file__).parent / "golden" / "design.csv"
         assert (tmp_path / "design.csv").read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("command,sha256", [
+        ("design", "976a943bdb6e3ce782aef17824f2d2849ac213477b7da7373f2b58ba21511256"),
+        ("gain", "d42effb3a073a08c3df17da6065d2e958f8646bb266bf1dd2eb0f6686f5eb951")])
+    def test_fine_sweep_is_byte_stable(self, tmp_path, command, sha256):
+        # the benchmark's 991-row e_r grid: a last-bit change in any solved
+        # edge angle moves these digests
+        assert main([command, "--er-min", "0", "--er-max", "0.99", "--er-step", "0.001",
+                     "--out", str(tmp_path)]) == 0
+        assert digests(tmp_path) == {f"{command}.csv": sha256}
 
     def test_cdf_csvs_are_byte_stable(self, tmp_path):
         # reference: the row-by-row writer the CDF files were first emitted by
@@ -272,6 +281,14 @@ class TestErrors:
         rc = main(["design", "--er-step", value, "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: er-step must be finite, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value,rows", [("1e-300", "9.9e+299"), ("1e-7", "9.9e+06")])
+    def test_sweep_too_large(self, tmp_path, capsys, value, rows):
+        rc = main(["design", "--er-max", "0.99", "--er-step", value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: efficiency sweep must have at most 1000000 rows, got {rows}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dronecell import (URBAN, AntennaModel, CellGeometry, NearDegenerateWarning,
-                       NoOptimumError, cell_geometry, edge_angle_objective,
-                       ideal_directivity, log_dmax_offset, solve_edge_angle)
+from dronecell import (URBAN, CellGeometry, NearDegenerateWarning, NoOptimumError,
+                       edge_angle_objective, ideal_directivity, log_dmax_offset,
+                       solve_edge_angle)
+from dronecell import design
 from dronecell.params import ScenarioParams
 
 import oracles
@@ -109,6 +110,30 @@ class TestSolveEdgeAngle:
         with pytest.raises(NoOptimumError):
             solve_edge_angle(URBAN.with_efficiency(0.99999))
 
+    @pytest.mark.parametrize("er", [0.0, 0.6, 0.99])
+    def test_scalar_residual_is_bit_identical(self, er, monkeypatch):
+        # the bisection evaluates the residual on np.float64 scalars; at every
+        # point it visits, that must equal the 0-d array path the checked
+        # public function takes, bit for bit
+        p = URBAN.with_efficiency(er)
+        visited = []
+        residual = design._residual
+
+        def recording(th, params):
+            if np.ndim(th) == 0:  # not the grid scan
+                visited.append(float(th))
+            return residual(th, params)
+
+        monkeypatch.setattr(design, "_residual", recording)
+        solve_edge_angle(p)
+        monkeypatch.undo()
+        assert len(visited) > 30
+        for x in visited:
+            scalar = residual(np.float64(x), p)
+            array = residual(np.asarray(x, dtype=float), p)
+            assert scalar.tobytes() == array.tobytes()
+            assert float(scalar) == edge_angle_objective(x, p)
+
 
 class TestGeometry:
     def test_forty_five_degrees(self):
@@ -116,28 +141,18 @@ class TestGeometry:
         assert g.altitude == pytest.approx(320.0, rel=1e-12)
 
     def test_urban_composition(self):
-        g = cell_geometry(500.0, URBAN)
         theta = solve_edge_angle(URBAN)
+        g = CellGeometry.from_edge_angle(theta, 500.0)
         assert g.theta_edge_deg == theta
         assert g.altitude == pytest.approx(500.0 * math.tan(math.radians(theta)), rel=1e-12)
 
     def test_radius_scaling(self):
-        g1 = cell_geometry(250.0, URBAN)
-        g2 = cell_geometry(500.0, URBAN)
+        theta = solve_edge_angle(URBAN)
+        g1 = CellGeometry.from_edge_angle(theta, 250.0)
+        g2 = CellGeometry.from_edge_angle(theta, 500.0)
         assert g2.theta_edge_deg == g1.theta_edge_deg
         assert g2.altitude == pytest.approx(2.0 * g1.altitude, rel=1e-12)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             CellGeometry.from_edge_angle(45.0, 0.0)
-
-
-class TestAntennaModel:
-    def test_design_invariants(self):
-        m = AntennaModel.design(0.6, 48.9)
-        assert m.ideal_directivity >= 2.0
-        assert m.effective_directivity_db == pytest.approx(
-            0.6 * 10.0 * math.log10(m.ideal_directivity), rel=1e-12)
-
-    def test_isotropic_exponent_kills_gain(self):
-        assert AntennaModel.design(0.0, 48.9).effective_directivity_db == 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dronecell import URBAN, Strategy, min_enclosing_circle, solve_edge_angle, user_rate
 
@@ -10,6 +12,31 @@ from one_slot import aggregate, place
 
 THETA = solve_edge_angle(URBAN)
 STATIC, SBC, MAR, CMP = Strategy.STATIC, Strategy.SBC, Strategy.MAR, Strategy.CMP
+
+
+COORD = st.floats(-1.0, 1.0, allow_subnormal=False)
+POINT = st.tuples(COORD, COORD)
+# polar points within 1e-7 outside the unit circle: nearly cocircular
+RIM = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1e-7)).map(
+    lambda aj: ((1.0 + aj[1]) * math.cos(aj[0]), (1.0 + aj[1]) * math.sin(aj[0])))
+
+
+@st.composite
+def point_sets(draw):
+    """1-8 scattered, collinear or nearly cocircular points, some
+    repeated, in any order."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["scattered", "collinear", "cocircular"]))
+    if kind == "scattered":
+        pts = draw(st.lists(POINT, min_size=n, max_size=n))
+    elif kind == "collinear":
+        (px, py), (dx, dy) = draw(POINT), draw(POINT)
+        pts = [(px + t * dx, py + t * dy)
+               for t in draw(st.lists(COORD, min_size=n, max_size=n))]
+    else:
+        pts = draw(st.lists(RIM, min_size=n, max_size=n))
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=4))]
+    return np.array(draw(st.permutations(pts)))
 
 
 def random_users(rng, n):
@@ -63,6 +90,20 @@ class TestMinEnclosingCircle:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             min_enclosing_circle(np.empty((0, 2)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(point_sets(), st.integers(-100, 100))
+    def test_matches_brute_force_at_any_scale(self, points, exponent):
+        # a power of two scales every coordinate exactly, so the oracle runs
+        # at unit scale and its radius scales without rounding. The centre is
+        # checked through containment: the oracle's 1e-9 containment slack
+        # can shift its own centre far more than that near right triangles.
+        scale = 2.0 ** exponent
+        pts = points * scale
+        c, r = min_enclosing_circle(pts)
+        _, br = oracles.brute_force_mec(points)
+        assert abs(r - br * scale) <= 1e-9 * scale
+        assert np.all(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= r * (1.0 + 1e-12))
 
 
 class TestStatic:
