@@ -10,7 +10,7 @@ as JSON, and every run writes a manifest with content digests.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import hashlib
 import json
 import math
@@ -19,8 +19,10 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .channel import user_rate
+from .channel import rate_function, user_rate
 from .design import (NearDegenerateWarning, NoOptimumError, ideal_directivity,
                      solve_edge_angle)
 from .params import ScenarioParams
@@ -48,6 +50,13 @@ _DEFAULTS = {
 
 # the largest e_r sweep; the row list is built before any row is solved
 _MAX_SWEEP_ROWS = 10**6
+
+# CDF rows formatted and written per block: enough to amortise the per-block
+# numpy calls, few enough that the text of one block stays a few hundred kB
+_CDF_BLOCK_ROWS = 4096
+
+# bytes per read when hashing an emitted file
+_DIGEST_READ_BYTES = 1 << 20
 
 # argparse dest -> config key ("lambda" is a Python keyword)
 _FLAG_KEYS = {("lam" if key == "lambda" else key): key for key in _DEFAULTS}
@@ -189,7 +198,11 @@ class _OutputSet:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(_DIGEST_READ_BYTES):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _solve_row(scenario: ScenarioParams):
@@ -204,32 +217,35 @@ def _solve_row(scenario: ScenarioParams):
     return theta, ("near_degenerate" if degenerate else "ok")
 
 
+def _design_columns(theta: float, _) -> tuple[float, float]:
+    return 10.0 * math.log10(ideal_directivity(theta)), math.tan(math.radians(theta))
+
+
+def _gain_columns(theta: float, scenario: ScenarioParams) -> tuple[float, float]:
+    rate = rate_function(theta, scenario)  # one edge gain for both columns
+    return float(rate(0.0)), float(rate(1.0))
+
+
 # e_r sweep commands: their two computed columns, named and evaluated at
 # the solved edge angle
 _SWEEP_COLUMNS = {
-    "design": (["ideal_directivity_db", "altitude_over_dmax"],
-               lambda theta, _: (10.0 * math.log10(ideal_directivity(theta)),
-                                 math.tan(math.radians(theta)))),
-    "gain": (["max_rate_at_kappa0", "rate_at_kappa1"],
-             lambda theta, sc: (user_rate(0.0, theta, sc), user_rate(1.0, theta, sc))),
+    "design": (["ideal_directivity_db", "altitude_over_dmax"], _design_columns),
+    "gain": (["max_rate_at_kappa0", "rate_at_kappa1"], _gain_columns),
 }
 
 
 def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     names, columns = _SWEEP_COLUMNS[command]
     base = _scenario(cfg)
-
-    def rows():
+    with out.open_csv(f"{command}.csv").open("w", newline="") as fh:
+        fh.write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
         for er in _er_sweep(cfg):
             scenario = base.with_efficiency(er)
             theta, status = _solve_row(scenario)
             if theta is None:
-                yield [er, "", "", "", status]
+                fh.write(_csv_line([er, "", "", "", status]))
             else:
-                yield [er, theta, *columns(theta, scenario), status]
-
-    _write_csv(out.open_csv(f"{command}.csv"),
-               ["e_r", "theta_edge_deg", *names, "status"], rows())
+                fh.write(_csv_line([er, theta, *columns(theta, scenario), status]))
     out.manifest(command, cfg)
 
 
@@ -248,12 +264,11 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
     workers = int(cfg["workers"])
     stats = run_simulation(sim_config, workers=workers)
 
-    for s in sim_config.strategies:
-        st = stats.per_strategy[s]
-        _write_csv(out.open_csv(f"rate_cdf_{s.value}.csv"),
-                   ["rate_bits_per_symbol", "cdf"], _cdf_rows(st.rate_samples))
-        _write_csv(out.open_csv(f"travel_cdf_{s.value}.csv"),
-                   ["distance_over_dmax", "cdf"], _cdf_rows(st.travel_samples))
+    per = [stats.per_strategy[s] for s in sim_config.strategies]
+    _write_cdfs([out.open_csv(f"rate_cdf_{s.value}.csv") for s in sim_config.strategies],
+                "rate_bits_per_symbol", [st.rate_samples for st in per])
+    _write_cdfs([out.open_csv(f"travel_cdf_{s.value}.csv") for s in sim_config.strategies],
+                "distance_over_dmax", [st.travel_samples for st in per])
 
     theta = stats.geometry.theta_edge_deg
     summary = {
@@ -292,17 +307,34 @@ def _jsonable(x: float):
     return None if math.isnan(x) else x
 
 
-def _cdf_rows(sorted_samples):
-    # a generator, so a large sample set is never held twice as text
-    n = len(sorted_samples)
-    return ((float(v), (i + 1) / n) for i, v in enumerate(sorted_samples))
+def _csv_line(cells) -> str:
+    # the CSV dialect of every output file: "," between cells, "\r\n" after
+    # the row, cells as str(); no cell we write needs quoting
+    return ",".join(map(str, cells)) + "\r\n"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write_cdfs(paths: list[Path], value_column: str, sample_sets: list[np.ndarray]) -> None:
+    """Write one empirical CDF per sorted sample set: a header, then a
+    "value,cdf" row per sample whose cdf is its rank over n.
+
+    The sets have one length n, so the files are written in lockstep, a
+    block of rows at a time, and each block's cdf text is formatted once
+    for all of them. A float64 rank / n is the same IEEE division as the
+    Python (i + 1) / n, and a Python float's repr is its str().
+    """
+    n = len(sample_sets[0])
+    if any(len(s) != n for s in sample_sets):
+        raise ValueError("CDF sample sets written together must have one length")
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(p.open("w", newline="")) for p in paths]
+        header = _csv_line([value_column, "cdf"])
+        for fh in files:
+            fh.write(header)
+        for lo in range(0, n, _CDF_BLOCK_ROWS):
+            hi = min(lo + _CDF_BLOCK_ROWS, n)
+            tails = [f",{c!r}\r\n" for c in (np.arange(lo + 1, hi + 1) / n).tolist()]
+            for fh, samples in zip(files, sample_sets):
+                fh.write("".join([f"{v!r}{t}" for v, t in zip(samples[lo:hi].tolist(), tails)]))
 
 
 def main(argv=None) -> int:

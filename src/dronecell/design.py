@@ -128,7 +128,8 @@ def solve_edge_angle(params: ScenarioParams) -> float:
         raise NoOptimumError(
             f"no stationary edge angle in ({_SCAN_LO_DEG}, {_SCAN_HI_DEG}) degrees "
             f"for e_r={params.e_r}")
-    theta = max(roots, key=lambda r: log_dmax_offset(r, params))
+    theta = roots[0] if len(roots) == 1 else max(
+        roots, key=lambda r: log_dmax_offset(r, params))
     if theta > NEAR_DEGENERATE_DEG:
         warnings.warn(
             f"optimal edge angle {theta:.3f} deg exceeds {NEAR_DEGENERATE_DEG} deg; "

@@ -7,11 +7,16 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dronecell
 from dronecell import URBAN, SimConfig, run_simulation
+from dronecell import cli
 from dronecell.cli import _resolve_config, build_parser, main
 
 DESIGN_HEADER = ["e_r", "theta_edge_deg", "ideal_directivity_db",
@@ -188,15 +193,60 @@ class TestGoldenFiles:
                 w.writerow([float(v), (i + 1) / n])
             return buf.getvalue().encode()
 
-        assert main(["simulate", "--lambda", "3", "--timeslots", "80",
-                     "--seed", "21", "--out", str(tmp_path)]) == 0
-        stats = run_simulation(SimConfig(scenario=URBAN, lam=3.0, n_timeslots=80,
-                                         seed=21))
-        for s, st in stats.per_strategy.items():
-            assert (tmp_path / f"rate_cdf_{s.value}.csv").read_bytes() == reference(
-                "rate_bits_per_symbol", st.rate_samples)
-            assert (tmp_path / f"travel_cdf_{s.value}.csv").read_bytes() == reference(
-                "distance_over_dmax", st.travel_samples)
+        block = cli._CDF_BLOCK_ROWS
+        # a few hundred rows; over two full blocks plus a partial one; and
+        # the all-empty run, whose rate files hold the header alone
+        for lam, slots, seed in ((3.0, 80, 21), (1.0, 2 * block + 800, 3), (0.05, 20, 0)):
+            out = tmp_path / f"lam{lam}"
+            assert main(["simulate", "--lambda", str(lam), "--timeslots", str(slots),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            stats = run_simulation(SimConfig(scenario=URBAN, lam=lam, n_timeslots=slots,
+                                             seed=seed))
+            if slots > 2 * block:
+                assert stats.n_users_total > 2 * block and stats.n_users_total % block
+            for s, result in stats.per_strategy.items():
+                assert (out / f"rate_cdf_{s.value}.csv").read_bytes() == reference(
+                    "rate_bits_per_symbol", result.rate_samples)
+                assert (out / f"travel_cdf_{s.value}.csv").read_bytes() == reference(
+                    "distance_over_dmax", result.travel_samples)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.sampled_from([1, cli._CDF_BLOCK_ROWS - 1, cli._CDF_BLOCK_ROWS,
+                         cli._CDF_BLOCK_ROWS + 1]),
+        st.integers(2, 4).flatmap(lambda b: st.integers(b * cli._CDF_BLOCK_ROWS + 1,
+                                                        (b + 1) * cli._CDF_BLOCK_ROWS - 1))))
+    def test_cdf_column_is_monotone_and_ends_at_one(self, tmp_path_factory, n):
+        samples = np.sort(np.random.default_rng(n).random(n))
+        path = tmp_path_factory.getbasetemp() / "cdf_property.csv"
+        cli._write_cdfs([path], "value", [samples])
+        header, rows = read_csv(path)
+        assert header == ["value", "cdf"] and len(rows) == n
+        assert [float(r[0]) for r in rows] == samples.tolist()
+        cdf = [float(r[1]) for r in rows]
+        assert all(b >= a for a, b in zip(cdf, cdf[1:]))
+        assert cdf[-1] == 1.0
+
+    def test_cdf_writer_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # the text of one block at a time, never of a whole file
+        def peak_bytes(n):
+            samples = np.sort(np.random.default_rng(n).random(n))
+            tracemalloc.start()
+            try:
+                cli._write_cdfs([tmp_path / f"n{n}.csv"], "value", [samples])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(20_000), peak_bytes(200_000)
+        assert large < 2e6 and small < 2e6
+        assert large < 1.25 * small
+
+    def test_streamed_digest_matches_the_whole_file(self, tmp_path):
+        path = tmp_path / "data.bin"
+        data = np.random.default_rng(0).bytes(2 * cli._DIGEST_READ_BYTES + 17)
+        path.write_bytes(data)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestReproduction:
