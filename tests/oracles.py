@@ -72,13 +72,15 @@ def brute_force_mec(points):
         return np.array(pts[0]), 0.0
 
     def contains(cx, cy, r):
-        return all(math.hypot(q[0] - cx, q[1] - cy) <= r + 1e-9 for q in pts)
+        # relative slack: the same answer at any coordinate scale
+        return all(math.hypot(q[0] - cx, q[1] - cy) <= r * (1.0 + 1e-12) for q in pts)
 
     best = None
     for i, j in combinations(range(n), 2):
         cx = (pts[i][0] + pts[j][0]) / 2.0
         cy = (pts[i][1] + pts[j][1]) / 2.0
-        r = math.hypot(pts[i][0] - cx, pts[i][1] - cy)
+        r = max(math.hypot(pts[i][0] - cx, pts[i][1] - cy),
+                math.hypot(pts[j][0] - cx, pts[j][1] - cy))
         if contains(cx, cy, r) and (best is None or r < best[2]):
             best = (cx, cy, r)
     for i, j, k in combinations(range(n), 3):

@@ -95,14 +95,13 @@ class TestMinEnclosingCircle:
     @given(point_sets(), st.integers(-100, 100))
     def test_matches_brute_force_at_any_scale(self, points, exponent):
         # a power of two scales every coordinate exactly, so the oracle runs
-        # at unit scale and its radius scales without rounding. The centre is
-        # checked through containment: the oracle's 1e-9 containment slack
-        # can shift its own centre far more than that near right triangles.
+        # at unit scale and its centre and radius scale without rounding
         scale = 2.0 ** exponent
         pts = points * scale
         c, r = min_enclosing_circle(pts)
-        _, br = oracles.brute_force_mec(points)
+        bc, br = oracles.brute_force_mec(points)
         assert abs(r - br * scale) <= 1e-9 * scale
+        assert np.hypot(*(c - bc * scale)) <= 1e-9 * scale
         assert np.all(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= r * (1.0 + 1e-12))
 
 
