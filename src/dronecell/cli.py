@@ -61,6 +61,9 @@ _DIGEST_READ_BYTES = 1 << 20
 # argparse dest -> config key ("lambda" is a Python keyword)
 _FLAG_KEYS = {("lam" if key == "lambda" else key): key for key in _DEFAULTS}
 
+# config keys that hold counts; every key but "strategies" holds a number
+_INT_KEYS = ("fixed_n", "timeslots", "seed", "workers")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -116,12 +119,28 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - set(cfg))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            _check_config_type(key, value)
         cfg.update(loaded)
     for dest, key in _FLAG_KEYS.items():
         val = getattr(args, dest, None)
         if val is not None:
             cfg[key] = val
     return cfg
+
+
+def _check_config_type(key: str, value) -> None:
+    # type(), not isinstance(): JSON true and false are Python ints
+    if key == "strategies":
+        ok = type(value) is str or (type(value) is list and all(type(v) is str for v in value))
+        want = "a string or a list of strings"
+    elif key in _INT_KEYS:
+        ok = type(value) is int or (key == "fixed_n" and value is None)
+        want = "an integer or null" if key == "fixed_n" else "an integer"
+    else:
+        ok, want = type(value) in (int, float), "a number"
+    if not ok:
+        raise ValueError(f"config key {key} must be {want}, got {json.dumps(value)}")
 
 
 def _scenario(cfg: dict) -> ScenarioParams:

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-# multiplicative tolerance for point-in-circle tests; keeps the incremental
-# construction stable without inflating the circle measurably
+# multiplicative tolerance for point-in-circle tests; keeps the active-set
+# iteration from chasing rounding without inflating the circle measurably
 _IN_CIRCLE_EPS = 1.0 + 1e-12
 _COLLINEAR_EPS = 1e-12
 
@@ -26,7 +26,7 @@ _MAX_ITER = 100        # MAR ascent iteration cap
 _XTOL = 1e-10          # MAR step length below which an instance has converged
 _CONE_EPS = 1e-12      # a user this close sits under the iterate, on its cone
 _SNAP_RADIUS = 1e-3    # reach of the move onto a strictly better user
-_ASCENT_BLOCK = 16384  # MAR starts x users per block; bounds the working set
+_ASCENT_BLOCK = 16384  # MAR starts x users, or SBC points, per block; bounds the working set
 
 
 class Strategy(str, Enum):
@@ -37,105 +37,88 @@ class Strategy(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# Smallest enclosing circle (exact, move-to-front incremental)
+# Smallest enclosing circle (exact, batched active-set iteration)
 # ---------------------------------------------------------------------------
 
-def min_enclosing_circle(points) -> tuple[np.ndarray, float]:
-    """Exact smallest circle containing all points: (center, radius).
+# the circles of 4 points: 6 diameter circles, then 4 circumcircles, each
+# with the 3 of the 4 points that determine it (a pair padded by a repeat)
+_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+_SUPPORTS = np.concatenate([_PAIRS[:, [0, 1, 1]], _TRIPLES])
 
-    Incremental construction with move-to-front restarts; the circle is
-    determined by at most three boundary points. Near-collinear triples
-    whose circumcircle determinant vanishes fall back to diameter circles.
+
+def min_enclosing_circle(points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact smallest circles containing same-size point sets.
+
+    points: (B, N, 2), N >= 1. Returns (centers (B, 2), radii (B,)). Each
+    instance is solved independently, so results do not depend on how
+    instances are batched together.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != 2:
+        raise ValueError(f"points must have shape (B, N, 2), got {pts.shape}")
     if pts.size == 0:
         raise ValueError("need at least one point")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    # min and max carry any NaN, without a temporary the size of the input
+    if not np.isfinite([pts.min(), pts.max()]).all():
         raise ValueError("coordinates must be finite")
-    p_list = [(float(x), float(y)) for x, y in pts]
-    cx, cy, r = _mec_incremental(p_list)
-    return np.array([cx, cy]), r
+    b, n, _ = pts.shape
+    size = max(1, _ASCENT_BLOCK // n)
+    centers, radii = np.empty((b, 2)), np.empty(b)
+    for i in range(0, b, size):
+        centers[i:i + size], radii[i:i + size] = _sbc_block(pts[i:i + size])
+    return centers, radii
 
 
-def _in_circle(c, p) -> bool:
-    return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * _IN_CIRCLE_EPS
+def _sbc_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min_enclosing_circle on one block, every instance at once.
+
+    Elzinga & Hearn's iteration: the circle is the smallest around a
+    support of at most 3 points. While the farthest point lies outside, the
+    circle becomes the smallest around the support plus that point, the
+    best of the 10 circles of those 4 points, and its determining points
+    become the support. The radius strictly grows, so the loop ends.
+    Converged instances freeze, so no instance depends on the others.
+    """
+    b = pts.shape[0]
+    support = np.zeros((b, 3), dtype=np.intp)
+    centers, radii = pts[:, 0].copy(), np.zeros(b)
+    active = np.arange(b)
+    while active.size:
+        dist = np.hypot(*np.moveaxis(pts[active] - centers[active, None], -1, 0))
+        far = np.argmax(dist, axis=1)
+        out = dist.max(axis=1) > radii[active] * _IN_CIRCLE_EPS
+        active, far = active[out], far[out]
+        quad = np.concatenate([support[active], far[:, None]], axis=1)
+        q = pts[active[:, None], quad]  # (K, 4, 2)
+        circum, collinear = _circumcenters(q[:, _TRIPLES])
+        cand = np.concatenate([q[:, _PAIRS].sum(axis=2) / 2.0, circum], axis=1)  # (K, 10, 2)
+        # each candidate's radius is its largest distance to the 4 points
+        rad = np.hypot(*np.moveaxis(q[:, None] - cand[:, :, None], -1, 0)).max(axis=2)
+        rad[:, len(_PAIRS):][collinear] = np.inf
+        pick = np.argmin(rad, axis=1)
+        rows = np.arange(active.size)
+        centers[active], radii[active] = cand[rows, pick], rad[rows, pick]
+        support[active] = quad[rows[:, None], _SUPPORTS[pick]]
+    return centers, radii
 
 
-def _diameter_circle(p, q):
-    cx = (p[0] + q[0]) / 2.0
-    cy = (p[1] + q[1]) / 2.0
-    r = max(math.hypot(cx - p[0], cy - p[1]), math.hypot(cx - q[0], cy - q[1]))
-    return (cx, cy, r)
-
-
-def _circumcircle(p, q, s):
-    # centered for conditioning; None when the triple is (near-)collinear
-    ox = (min(p[0], q[0], s[0]) + max(p[0], q[0], s[0])) / 2.0
-    oy = (min(p[1], q[1], s[1]) + max(p[1], q[1], s[1])) / 2.0
-    ax, ay = p[0] - ox, p[1] - oy
-    bx, by = q[0] - ox, q[1] - oy
-    sx, sy = s[0] - ox, s[1] - oy
+def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenters of triangles (..., 3, 2), and whether each triple is
+    (near-)collinear and so has none. Computed about the bounding-box
+    center for conditioning."""
+    o = (tri.min(axis=-2) + tri.max(axis=-2)) / 2.0
+    v = tri - o[..., None, :]
+    ax, bx, sx = np.moveaxis(v[..., 0], -1, 0)
+    ay, by, sy = np.moveaxis(v[..., 1], -1, 0)
     d = 2.0 * (ax * (by - sy) + bx * (sy - ay) + sx * (ay - by))
-    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(sx), abs(sy))
-    if abs(d) <= _COLLINEAR_EPS * scale * scale:
-        return None
-    x = ox + ((ax * ax + ay * ay) * (by - sy) + (bx * bx + by * by) * (sy - ay)
-              + (sx * sx + sy * sy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (sx - bx) + (bx * bx + by * by) * (ax - sx)
-              + (sx * sx + sy * sy) * (bx - ax)) / d
-    r = max(math.hypot(x - p[0], y - p[1]),
-            math.hypot(x - q[0], y - q[1]),
-            math.hypot(x - s[0], y - s[1]))
-    return (x, y, r)
-
-
-def _cross(ox, oy, ax, ay, bx, by) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _mec_incremental(pts):
-    c = None
-    for i, p in enumerate(pts):
-        if c is None or not _in_circle(c, p):
-            c = _mec_with_one(pts[: i + 1], p)
-    return c
-
-
-def _mec_with_one(pts, p):
-    c = (p[0], p[1], 0.0)
-    for i, q in enumerate(pts):
-        if not _in_circle(c, q):
-            c = _diameter_circle(p, q) if c[2] == 0.0 else _mec_with_two(pts[: i + 1], p, q)
-    return c
-
-
-def _mec_with_two(pts, p, q):
-    circ = _diameter_circle(p, q)
-    left = None
-    right = None
-    for s in pts:
-        if _in_circle(circ, s):
-            continue
-        side = _cross(p[0], p[1], q[0], q[1], s[0], s[1])
-        c = _circumcircle(p, q, s)
-        if c is None:
-            continue
-        d = _cross(p[0], p[1], q[0], q[1], c[0], c[1])
-        if side > 0.0 and (left is None
-                           or d > _cross(p[0], p[1], q[0], q[1], left[0], left[1])):
-            left = c
-        elif side < 0.0 and (right is None
-                             or d < _cross(p[0], p[1], q[0], q[1], right[0], right[1])):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
+    scale = np.abs(v).max(axis=(-2, -1))
+    collinear = np.abs(d) <= _COLLINEAR_EPS * scale * scale
+    d = np.where(collinear, 1.0, d)
+    a2, b2, s2 = ax * ax + ay * ay, bx * bx + by * by, sx * sx + sy * sy
+    x = (a2 * (by - sy) + b2 * (sy - ay) + s2 * (ay - by)) / d
+    y = (a2 * (sx - bx) + b2 * (ax - sx) + s2 * (bx - ax)) / d
+    return o + np.stack([x, y], axis=-1), collinear
 
 
 # ---------------------------------------------------------------------------

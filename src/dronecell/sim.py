@@ -150,48 +150,44 @@ def _slot_users(config: SimConfig, timeslot: int) -> np.ndarray:
 
 def _run_chunk(config: SimConfig, start: int, stop: int) -> dict:
     """Simulate timeslots [start, stop) and return normalized-frame arrays."""
-    users = [_slot_users(config, t) / config.d_max for t in range(start, stop)]
-    return {
-        "counts": np.array([pts.shape[0] for pts in users], dtype=np.int64),
-        "users": np.concatenate(users, axis=0) if users else np.empty((0, 2)),
-        "positions": _place_slots(users, config.strategies, config.scenario),
-    }
+    slots = [_slot_users(config, t) / config.d_max for t in range(start, stop)]
+    counts = np.array([pts.shape[0] for pts in slots], dtype=np.int64)
+    users = np.concatenate(slots, axis=0)
+    return {"counts": counts, "users": users,
+            "positions": _place_slots(users, counts, config.strategies, config.scenario)}
 
 
-def _place_slots(users: list[np.ndarray], strategies: tuple[Strategy, ...],
+def _place_slots(users: np.ndarray, counts: np.ndarray, strategies: tuple[Strategy, ...],
                  scenario: ScenarioParams) -> dict[Strategy, np.ndarray]:
     """Drone positions of every requested strategy, {strategy: (L, 2)}, for
-    L slots of users, each an (n, 2) array in the normalized frame.
+    L slots whose users, counts[i] of them in slot i, lie in slot order in
+    users (U, 2), in the normalized frame.
 
-    An empty slot keeps the drone at the cell center. The SBC center seeds
-    the MAR search, which runs on batches of slots with the same user
-    count. CMP takes the SBC or the MAR position, whichever is nearer the
-    center; ties go to the SBC (fairness) position.
+    An empty slot keeps the drone at the cell center. The slots with one
+    user count are gathered once into a (B, N, 2) block; the SBC center
+    seeds the MAR search on that block. CMP takes the SBC or the MAR
+    position, whichever is nearer the center; ties go to the SBC (fairness)
+    position.
     """
-    length = len(users)
-    positions = {Strategy.STATIC: np.zeros((length, 2))}
+    length = len(counts)
     need_mar = Strategy.MAR in strategies or Strategy.CMP in strategies
-    if need_mar or Strategy.SBC in strategies:
-        sbc = np.zeros((length, 2))
-        for i, pts in enumerate(users):
-            if pts.shape[0]:
-                sbc[i], _ = min_enclosing_circle(pts)
-        positions[Strategy.SBC] = sbc
     if need_mar:
         theta = solve_edge_angle(scenario)
         rate = rate_function(theta, scenario)
         rate_terms = rate_derivatives(theta, scenario)
-        by_n: dict[int, list[int]] = {}
-        for i, pts in enumerate(users):
-            if pts.shape[0]:
-                by_n.setdefault(pts.shape[0], []).append(i)
-        mar = np.zeros((length, 2))
-        for _, rows in sorted(by_n.items()):
-            mar[rows], _ = solve_mar_batch(np.stack([users[i] for i in rows]),
-                                           rate, rate_terms, sbc[rows])
-        use_sbc = np.hypot(*sbc.T) <= np.hypot(*mar.T)
-        positions[Strategy.MAR] = mar
-        positions[Strategy.CMP] = np.where(use_sbc[:, None], sbc, mar)
+    sbc, mar = np.zeros((length, 2)), np.zeros((length, 2))
+    if need_mar or Strategy.SBC in strategies:
+        offsets = np.cumsum(counts) - counts
+        # a set, not np.unique: its first call alone adds 1.5 MB of resident memory
+        for n in sorted(set(counts.tolist()) - {0}):
+            rows = np.flatnonzero(counts == n)
+            block = users[offsets[rows, None] + np.arange(n)]
+            sbc[rows], _ = min_enclosing_circle(block)
+            if need_mar:
+                mar[rows], _ = solve_mar_batch(block, rate, rate_terms, sbc[rows])
+    use_sbc = np.hypot(*sbc.T) <= np.hypot(*mar.T)
+    positions = {Strategy.STATIC: np.zeros((length, 2)), Strategy.SBC: sbc,
+                 Strategy.MAR: mar, Strategy.CMP: np.where(use_sbc[:, None], sbc, mar)}
     return {s: positions[s] for s in strategies}
 
 

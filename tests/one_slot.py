@@ -29,5 +29,5 @@ def aggregate(users, position) -> float:
 def place(users, strategy) -> Placed:
     """Where strategy puts the drone for one slot of users (n, 2)."""
     users = np.asarray(users, dtype=float).reshape(-1, 2)
-    position = _place_slots([users], (strategy,), URBAN)[strategy][0]
+    position = _place_slots(users, np.array([len(users)]), (strategy,), URBAN)[strategy][0]
     return Placed(position, np.hypot(*(users - position).T), aggregate(users, position))

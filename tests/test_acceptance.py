@@ -211,7 +211,7 @@ def test_criterion_11_geometry_oracles():
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         pts = rng.normal(scale=2.0, size=(n, 2))
-        c, r = min_enclosing_circle(pts)
+        (c,), (r,) = min_enclosing_circle(pts[None])
         bc, br = oracles.brute_force_mec(pts)
         worst_mec = max(worst_mec, abs(r - br), float(np.hypot(*(c - bc))))
     ok_mec = worst_mec < 1e-9

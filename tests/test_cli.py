@@ -341,6 +341,36 @@ class TestErrors:
             f"error: efficiency sweep must have at most 1000000 rows, got {rows}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,key,value,want", [
+        ("simulate", "strategies", 5, "a string or a list of strings"),
+        ("simulate", "strategies", ["static", 1], "a string or a list of strings"),
+        ("simulate", "timeslots", None, "an integer"),
+        ("simulate", "timeslots", 20.9, "an integer"),
+        ("simulate", "seed", 1.5, "an integer"),
+        ("simulate", "seed", True, "an integer"),
+        ("simulate", "fixed_n", 3.0, "an integer or null"),
+        ("simulate", "lambda", None, "a number"),
+        ("simulate", "dmax", "500", "a number"),
+        ("design", "er_step", None, "a number")])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, key, value, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: config key {key} must be {want}, got {json.dumps(value)}\n")
+        assert not out.exists()
+
+    def test_config_accepts_null_fixed_n_and_a_strategy_list(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fixed_n": None, "strategies": ["static", "sbc"],
+                                   "timeslots": 20, "lambda": 2}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "manifest.json", "rate_cdf_sbc.csv", "rate_cdf_static.csv", "summary.json",
+            "travel_cdf_sbc.csv", "travel_cdf_static.csv"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])

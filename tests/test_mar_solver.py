@@ -35,7 +35,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def solve(users):
     """solve_mar_batch on (B, N, 2) users with their SBC centers."""
     users = np.asarray(users, dtype=float)
-    centers = np.stack([min_enclosing_circle(u)[0] for u in users])
+    centers, _ = min_enclosing_circle(users)
     return solve_mar_batch(users, RATE, RATE_TERMS, centers)
 
 
@@ -78,8 +78,8 @@ def test_corpus_converges_before_the_iteration_cap():
 
     for users, _, _ in load_corpus():
         calls.append(0)
-        center, _ = min_enclosing_circle(users)
-        solve_mar_batch(users[None], RATE, counting_terms, center[None])
+        centers, _ = min_enclosing_circle(users[None])
+        solve_mar_batch(users[None], RATE, counting_terms, centers)
     print(f"\ncorpus: at most {max(calls)} iterations (cap {_MAX_ITER})")
     assert max(calls) < _MAX_ITER
 
@@ -105,7 +105,7 @@ def test_never_below_a_start(points):
     users = as_users(points)
     pos, val = solve(users[None])
     grid = [objective(g, users) for g in _POLAR_GRID]
-    starts = [np.zeros(2), min_enclosing_circle(users)[0],
+    starts = [np.zeros(2), min_enclosing_circle(users[None])[0][0],
               _POLAR_GRID[int(np.argmax(grid))], *users]
     for s in starts:
         assert val[0] >= objective(s, users)

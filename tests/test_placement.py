@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,13 +48,19 @@ def random_users(rng, n):
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
 
 
+def mec(points):
+    """min_enclosing_circle of one point set (n, 2): (center, radius)."""
+    (c,), (r,) = min_enclosing_circle(np.asarray(points, dtype=float)[None])
+    return c, r
+
+
 class TestMinEnclosingCircle:
     def test_single_point(self):
-        c, r = min_enclosing_circle([(3.0, -2.0)])
+        c, r = mec([(3.0, -2.0)])
         assert np.array_equal(c, [3.0, -2.0]) and r == 0.0
 
     def test_two_points(self):
-        c, r = min_enclosing_circle([(0.0, 0.0), (2.0, 0.0)])
+        c, r = mec([(0.0, 0.0), (2.0, 0.0)])
         assert np.allclose(c, [1.0, 0.0]) and r == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force(self):
@@ -60,7 +68,7 @@ class TestMinEnclosingCircle:
         for _ in range(300):
             n = int(rng.integers(1, 13))
             pts = rng.normal(scale=3.0, size=(n, 2))
-            c, r = min_enclosing_circle(pts)
+            c, r = mec(pts)
             bc, br = oracles.brute_force_mec(pts)
             assert r == pytest.approx(br, abs=1e-9)
             assert np.hypot(*(c - bc)) < 1e-9
@@ -70,26 +78,67 @@ class TestMinEnclosingCircle:
         for _ in range(50):
             xs = rng.normal(size=int(rng.integers(2, 9)))
             pts = np.stack([xs, 2.0 * xs - 1.0], axis=1)
-            c, r = min_enclosing_circle(pts)
+            c, r = mec(pts)
             bc, br = oracles.brute_force_mec(pts)
             assert r == pytest.approx(br, abs=1e-9)
             assert np.hypot(*(c - bc)) < 1e-9
 
     def test_duplicates(self):
-        c, r = min_enclosing_circle([(1.0, 1.0)] * 5)
+        c, r = mec([(1.0, 1.0)] * 5)
         assert np.array_equal(c, [1.0, 1.0]) and r == 0.0
 
     def test_all_points_covered(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             pts = rng.uniform(-10, 10, size=(int(rng.integers(1, 40)), 2))
-            c, r = min_enclosing_circle(pts)
+            c, r = mec(pts)
             d = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
             assert np.all(d <= r + 1e-9)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            min_enclosing_circle(np.empty((0, 2)))
+        for pts in (np.empty((1, 0, 2)), np.empty((0, 3, 2))):
+            with pytest.raises(ValueError):
+                min_enclosing_circle(pts)
+
+    def test_rejects_a_single_set(self):
+        with pytest.raises(ValueError, match=r"shape \(B, N, 2\)"):
+            min_enclosing_circle([(0.0, 0.0), (1.0, 0.0)])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            min_enclosing_circle([[(0.0, 0.0), (np.nan, 1.0)]])
+
+    def test_thin_triangle_in_every_order(self):
+        # a thin triangle: an iteration that tries only the circles through
+        # the newest point, and stops once the radius no longer grows, leaves
+        # a point 3.4e-13 outside here
+        tri = [(1.0, 0.0), (0.0, 0.0), (1e-12, 0.5)]
+        pts = np.array(list(itertools.permutations(tri)))
+        c, r = min_enclosing_circle(pts)
+        d = np.hypot(pts[..., 0] - c[:, None, 0], pts[..., 1] - c[:, None, 1])
+        assert np.all(d <= r[:, None] * (1.0 + 1e-12))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(POINT, RIM), min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_batch_matches_each_set_alone(self, sets):
+        pts = np.array(sets)
+        c, r = min_enclosing_circle(pts)
+        for i in range(len(pts)):
+            ci, ri = min_enclosing_circle(pts[i:i + 1])
+            assert np.array_equal(c[i], ci[0]) and r[i] == ri[0]
+
+    def test_block_bounds_the_working_set(self):
+        # instances run in blocks, so the peak does not grow with the batch
+        rng = np.random.default_rng(15)
+        peaks = []
+        for b in (64, 512):
+            pts = rng.uniform(-1.0, 1.0, size=(b, 1000, 2))
+            tracemalloc.start()
+            min_enclosing_circle(pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(point_sets(), st.integers(-100, 100))
@@ -98,7 +147,7 @@ class TestMinEnclosingCircle:
         # at unit scale and its centre and radius scale without rounding
         scale = 2.0 ** exponent
         pts = points * scale
-        c, r = min_enclosing_circle(pts)
+        c, r = mec(pts)
         bc, br = oracles.brute_force_mec(points)
         assert abs(r - br * scale) <= 1e-9 * scale
         assert np.hypot(*(c - bc * scale)) <= 1e-9 * scale

@@ -102,7 +102,7 @@ class TestEngine:
         cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=40, seed=13)
         users, positions = chunk_slots(cfg)
         stats = run_simulation(cfg)
-        alone = [_place_slots([pts], cfg.strategies, URBAN) for pts in users]
+        alone = [_place_slots(pts, np.array([len(pts)]), cfg.strategies, URBAN) for pts in users]
         for s in cfg.strategies:
             ref = np.concatenate([a[s] for a in alone])
             assert np.array_equal(positions[s], ref)
