@@ -106,9 +106,12 @@ def _sbc_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Circumcenters of triangles (..., 3, 2), and whether each triple is
     (near-)collinear and so has none. Computed about the bounding-box
-    center for conditioning."""
+    center for conditioning, on the triangle scaled by a power of two to
+    unit size: the scaling is exact, and no square over- or underflows."""
     o = (tri.min(axis=-2) + tri.max(axis=-2)) / 2.0
     v = tri - o[..., None, :]
+    _, e = np.frexp(np.abs(v).max(axis=(-2, -1)))
+    v = np.ldexp(v, -e[..., None, None])
     ax, bx, sx = np.moveaxis(v[..., 0], -1, 0)
     ay, by, sy = np.moveaxis(v[..., 1], -1, 0)
     d = 2.0 * (ax * (by - sy) + bx * (sy - ay) + sx * (ay - by))
@@ -118,7 +121,7 @@ def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a2, b2, s2 = ax * ax + ay * ay, bx * bx + by * by, sx * sx + sy * sy
     x = (a2 * (by - sy) + b2 * (sy - ay) + s2 * (ay - by)) / d
     y = (a2 * (sx - bx) + b2 * (ax - sx) + s2 * (bx - ax)) / d
-    return o + np.stack([x, y], axis=-1), collinear
+    return o + np.ldexp(np.stack([x, y], axis=-1), e[..., None]), collinear
 
 
 # ---------------------------------------------------------------------------

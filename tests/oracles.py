@@ -86,7 +86,9 @@ def brute_force_mec(points):
     for i, j, k in combinations(range(n), 3):
         (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
         d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        if abs(d) < 1e-14:
+        # collinear relative to the triangle's size, so the same at any scale
+        size = max(abs(bx - ax), abs(by - ay), abs(cx - ax), abs(cy - ay))
+        if abs(d) <= 1e-12 * size * size:
             continue
         ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
               + (cx * cx + cy * cy) * (ay - by)) / d
@@ -97,6 +99,23 @@ def brute_force_mec(points):
         if contains(ux, uy, r) and (best is None or r < best[2]):
             best = (ux, uy, r)
     return np.array([best[0], best[1]]), best[2]
+
+
+def slot_users(seed, timeslot, lam, fixed_n=None, d_max=500.0):
+    """One timeslot's users in the normalized frame, (n, 2), drawn by numpy
+    itself, one generator per stream: the count is Poisson(lam) (or fixed_n)
+    from the stream with spawn key (timeslot, 0); the radii take the first n
+    uniforms of the stream with spawn key (timeslot, 1), the angles the
+    next n."""
+    def stream(purpose):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(timeslot, purpose))
+        return np.random.Generator(np.random.Philox(seq))
+
+    n = fixed_n if fixed_n is not None else int(stream(0).poisson(lam))
+    rng = stream(1)
+    r = d_max * np.sqrt(rng.random(n))
+    phi = 2.0 * math.pi * rng.random(n)
+    return np.stack([0.0 + r * np.cos(phi), 0.0 + r * np.sin(phi)], axis=1) / d_max
 
 
 def grid_search_aggregate(users_norm, theta_edge_deg, p, n_grid=2001):

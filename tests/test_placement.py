@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dronecell import URBAN, Strategy, min_enclosing_circle, solve_edge_angle, user_rate
@@ -140,8 +140,19 @@ class TestMinEnclosingCircle:
             tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_circumcircle_at_extreme_scales(self, scale):
+        tri = np.array([(0.0, 0.0), (1.0, 0.1), (0.5, 0.9)])
+        c, r = mec(tri * scale)
+        unit_c, unit_r = mec(tri)
+        assert r == pytest.approx(unit_r * scale, rel=1e-15)
+        assert np.allclose(c, unit_c * scale, rtol=1e-15, atol=0.0)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(point_sets(), st.integers(-100, 100))
+    # an acute triangle whose circumcircle an absolute collinearity test skips
+    @example(np.array([(0.0, 0.0), (0.0, 5.28420564e-8), (4.39404714e-8, 4.39404714e-8)]), 0)
     def test_matches_brute_force_at_any_scale(self, points, exponent):
         # a power of two scales every coordinate exactly, so the oracle runs
         # at unit scale and its centre and radius scale without rounding

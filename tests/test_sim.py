@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import dronecell.sim as sim
 from dronecell import (URBAN, SimConfig, Strategy, rate_function, run_simulation,
                        sample_user_count, sample_users_uniform_disc,
                        solve_edge_angle)
-from dronecell.sim import _nearest_rank, _place_slots, _run_chunk, _slot_users, _stream
+from dronecell.sim import _nearest_rank, _place_slots, _run_chunk
 
 import oracles
 
@@ -28,40 +29,77 @@ def sim20k():
     return run_simulation(cfg)
 
 
+def draws_in_pieces(draw, n, piece=1 << 16):
+    """draw(slots) over slots 0..n-1, a piece at a time, concatenated."""
+    return np.concatenate([draw(np.arange(lo, min(lo + piece, n))) for lo in range(0, n, piece)])
+
+
 class TestSampling:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam, fixed_n", [(0.05, None), (1.0, None), (5.0, None),
+                                              (9.99, None), (10.0, None), (20.0, None),
+                                              (1000.0, None), (5.0, 3)])
+    @pytest.mark.parametrize("seed", [0, 2**32 + 1, 2**130])
+    @pytest.mark.parametrize("start", [0, 4093, 2**31 - 60, 2**32 - 60])
+    def test_matches_per_slot_numpy_streams(self, lam, fixed_n, seed, start):
+        cfg = SimConfig(scenario=URBAN, lam=lam, fixed_n=fixed_n, n_timeslots=1, seed=seed)
+        counts, users = sim._sample_slots(cfg, start, start + 120)
+        ref = [oracles.slot_users(seed, t, lam, fixed_n) for t in range(start, start + 120)]
+        assert counts.tolist() == [len(pts) for pts in ref]
+        assert users.tobytes() == np.concatenate(ref).tobytes()
+
     def test_poisson_moments(self):
-        rng = _stream(0, 0, 0)
-        draws = np.array([sample_user_count(5.0, rng) for _ in range(1_000_000)])
+        draws = draws_in_pieces(lambda slots: sample_user_count(5.0, 0, slots), 1_000_000)
         assert draws.mean() == pytest.approx(5.0, abs=0.01)
         assert draws.var() == pytest.approx(5.0, abs=0.05)
 
     def test_poisson_empty_slot_mass(self):
-        rng = _stream(1, 0, 0)
-        draws = np.array([sample_user_count(1.0, rng) for _ in range(1_000_000)])
+        draws = draws_in_pieces(lambda slots: sample_user_count(1.0, 1, slots), 1_000_000)
         assert np.mean(draws == 0) == pytest.approx(math.exp(-1.0), abs=0.002)
 
     def test_poisson_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
-            sample_user_count(0.0, _stream(0, 0, 0))
+            sample_user_count(0.0, 0, np.arange(1))
 
     def test_uniform_disc_moments(self):
-        rng = _stream(2, 0, 1)
-        pts = sample_users_uniform_disc(1_000_000, 500.0, rng)
+        per_slot = np.full(100, 1000)
+        pts = draws_in_pieces(lambda slots: sample_users_uniform_disc(
+            100_000, 500.0, 2, slots, per_slot), 1000, piece=100)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        assert np.all(r <= 500.0)
+        assert len(pts) == 1_000_000 and np.all(r <= 500.0)
         assert r.mean() == pytest.approx(2.0 / 3.0 * 500.0, rel=0.001)
         assert np.mean(r < 250.0) == pytest.approx(0.25, abs=0.005)
 
     def test_uniform_disc_empty(self):
-        pts = sample_users_uniform_disc(0, 500.0, _stream(2, 1, 1))
+        pts = sample_users_uniform_disc(0, 500.0, 2, np.array([1]), np.array([0]))
         assert pts.shape == (0, 2)
+
+    @pytest.mark.parametrize("slots, counts", [([1, 2], [1, 1]), ([1, 2], [4, -1]), ([1], [1, 2])])
+    def test_uniform_disc_rejects_counts_that_miss_n(self, slots, counts):
+        with pytest.raises(ValueError):
+            sample_users_uniform_disc(3, 500.0, 2, np.array(slots), np.array(counts))
+
+    @pytest.mark.parametrize("seed, slot", [(-1, 0), (1.5, 0), (True, 0), (0, -1)])
+    def test_streams_reject_a_bad_seed_or_slot(self, seed, slot):
+        with pytest.raises(ValueError):
+            sample_user_count(5.0, seed, np.array([slot]))
+        with pytest.raises(ValueError):
+            sample_users_uniform_disc(1, 500.0, seed, np.array([slot]), np.array([1]))
 
     def test_slot_streams_are_reproducible(self):
         cfg = SimConfig(scenario=URBAN, lam=4.0, n_timeslots=10, seed=9)
-        a = _slot_users(cfg, 7)
-        b = _slot_users(cfg, 7)
+        a = sim._sample_slots(cfg, 7, 8)[1]
+        b = sim._sample_slots(cfg, 7, 8)[1]
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, _slot_users(cfg, 8))
+        assert not np.array_equal(a, sim._sample_slots(cfg, 8, 9)[1])
+
+    def test_memory_is_bounded_by_the_users_drawn(self):
+        cfg = SimConfig(scenario=URBAN, lam=200.0, n_timeslots=4096, seed=5)
+        tracemalloc.start()
+        _, users = sim._sample_slots(cfg, 0, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * users.nbytes
 
 
 class TestConfigValidation:
@@ -80,6 +118,27 @@ class TestConfigValidation:
     def test_accepts_strategy_names(self):
         cfg = SimConfig(scenario=URBAN, strategies=("static", "mar"))
         assert cfg.strategies == (Strategy.STATIC, Strategy.MAR)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+    def test_rejects_non_integer_seed(self, value):
+        with pytest.raises(ValueError):
+            SimConfig(scenario=URBAN, seed=value)
+
+    @pytest.mark.parametrize("value", [100.5, 100.0, True, "100", None])
+    def test_rejects_non_integer_n_timeslots(self, value):
+        with pytest.raises(ValueError):
+            SimConfig(scenario=URBAN, n_timeslots=value)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_fixed_n(self, value):
+        with pytest.raises(ValueError):
+            SimConfig(scenario=URBAN, fixed_n=value)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SimConfig(scenario=URBAN, fixed_n=np.int64(2), n_timeslots=np.int32(10),
+                        seed=np.uint64(2**63))
+        assert (cfg.fixed_n, cfg.n_timeslots, cfg.seed) == (2, 10, 2**63)
+        assert {type(cfg.fixed_n), type(cfg.n_timeslots), type(cfg.seed)} == {int}
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
@@ -120,6 +179,15 @@ class TestEngine:
             for other in runs[1:]:
                 assert np.array_equal(other[s].rate_samples, runs[0][s].rate_samples)
                 assert np.array_equal(other[s].travel_samples, runs[0][s].travel_samples)
+
+    def test_bit_identical_across_sampler_blocks(self, monkeypatch):
+        cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=300, seed=4)
+        runs = []
+        for block in (1, 7, sim._SAMPLE_BLOCK_USERS):
+            monkeypatch.setattr(sim, "_SAMPLE_BLOCK_USERS", block)
+            counts, users = sim._sample_slots(cfg, 0, cfg.n_timeslots)
+            runs.append((counts.tobytes(), users.tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
         # a fake pool: records its size and runs the chunks in this process
