@@ -211,9 +211,7 @@ class _OutputSet:
             "config": cfg,
             "outputs": entries,
         }
-        path = self.out_dir / "manifest.json"
-        self.paths.append(path)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.write_json("manifest.json", payload)
 
 
 def _sha256(path: Path) -> str:

@@ -153,9 +153,11 @@ def solve_mar_batch(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
     users: (B, N, 2) in the normalized frame (cell center at the origin,
     unit radius), N >= 1; rate and rate_terms are rate_function's and
     rate_derivatives' callables for the same geometry; sbc_centers: (B, 2).
-    Returns (positions (B, 2), objectives (B,)). Each instance is solved
-    independently, so results do not depend on how instances are batched
-    together.
+    The ascent starts from the cell center, every user, the SBC center and
+    the best node of a coarse polar grid. Returns (positions (B, 2),
+    objectives (B,)), each instance's best refined point. Each instance is
+    solved independently, so results do not depend on how instances are
+    batched together.
     """
     users = np.asarray(users, dtype=float)
     b, n, _ = users.shape
@@ -187,13 +189,12 @@ def _solve_block(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
     # objective: users live inside the disc)
     finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]
     finals = finals.reshape(b, s, 2)
-    # candidate set: refined finals first, then the raw starts, so that the
-    # first-occurrence argmax prefers refined points on exact ties
-    candidates = np.concatenate([finals, starts], axis=1)
-    values = _aggregate_rates(candidates, users, rate)
+    # a final never scores below its start: the ascent only accepts strict
+    # rises, and a start inside the disc is not moved by the projection
+    values = _aggregate_rates(finals, users, rate)
     pick = np.argmax(values, axis=1)
     rows = np.arange(b)
-    return candidates[rows, pick], values[rows, pick]
+    return finals[rows, pick], values[rows, pick]
 
 
 def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms) -> np.ndarray:

@@ -75,20 +75,27 @@ def brute_force_mec(points):
         # relative slack: the same answer at any coordinate scale
         return all(math.hypot(q[0] - cx, q[1] - cy) <= r * (1.0 + 1e-12) for q in pts)
 
+    def in_diameter_circle(a, b):
+        # q lies in the circle on diameter ab exactly when (a - q).(b - q) <= 0;
+        # no slack, so a point just outside brings in its 3-point circle instead
+        return all((a[0] - q[0]) * (b[0] - q[0]) + (a[1] - q[1]) * (b[1] - q[1]) <= 0.0
+                   for q in pts)
+
     best = None
     for i, j in combinations(range(n), 2):
         cx = (pts[i][0] + pts[j][0]) / 2.0
         cy = (pts[i][1] + pts[j][1]) / 2.0
         r = max(math.hypot(pts[i][0] - cx, pts[i][1] - cy),
                 math.hypot(pts[j][0] - cx, pts[j][1] - cy))
-        if contains(cx, cy, r) and (best is None or r < best[2]):
+        if in_diameter_circle(pts[i], pts[j]) and (best is None or r < best[2]):
             best = (cx, cy, r)
     for i, j, k in combinations(range(n), 3):
         (ax, ay), (bx, by), (cx, cy) = pts[i], pts[j], pts[k]
         d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        # collinear relative to the triangle's size, so the same at any scale
-        size = max(abs(bx - ax), abs(by - ay), abs(cx - ax), abs(cy - ay))
-        if abs(d) <= 1e-12 * size * size:
+        # only an exactly collinear triple has no circle: a nearly collinear
+        # one may be all that replaces a diameter circle the gate rejects,
+        # and its huge circle otherwise loses on radius
+        if d == 0.0:
             continue
         ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
               + (cx * cx + cy * cy) * (ay - by)) / d
