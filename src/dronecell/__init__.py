@@ -7,7 +7,7 @@ from .channel import (expected_path_loss_db, g_pos, max_gain, p_los, rate_functi
                       user_rate)
 from .design import (CellGeometry, NearDegenerateWarning, NoOptimumError,
                      edge_angle_objective, ideal_directivity, log_dmax_offset,
-                     solve_edge_angle)
+                     solve_edge_angle, solve_edge_angles)
 from .params import SPEED_OF_LIGHT, URBAN, ScenarioParams
 from .placement import Strategy, min_enclosing_circle
 from .sim import (SimConfig, run_simulation, sample_user_count,
@@ -17,7 +17,7 @@ __all__ = [
     "SPEED_OF_LIGHT", "URBAN", "ScenarioParams",
     "p_los", "expected_path_loss_db", "g_pos", "user_rate", "rate_function",
     "max_gain", "ideal_directivity", "edge_angle_objective", "log_dmax_offset",
-    "solve_edge_angle", "CellGeometry",
+    "solve_edge_angle", "solve_edge_angles", "CellGeometry",
     "NoOptimumError", "NearDegenerateWarning",
     "Strategy", "min_enclosing_circle",
     "SimConfig", "run_simulation", "sample_user_count",

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .channel import rate_function, user_rate
-from .design import (NearDegenerateWarning, NoOptimumError, ideal_directivity,
-                     solve_edge_angle)
+from .design import NoOptimumError, ideal_directivity, solve_edge_angles
 from .params import ScenarioParams
 from .placement import Strategy
 from .sim import SimConfig, run_simulation
@@ -200,7 +198,7 @@ class _OutputSet:
         for p in self.paths:
             p.unlink(missing_ok=True)
 
-    def manifest(self, command: str, cfg: dict) -> None:
+    def manifest(self, command: str, cfg: dict, diagnostics: dict | None = None) -> None:
         entries = [{"path": p.name, "sha256": _sha256(p)}
                    for p in sorted(self.paths, key=lambda p: p.name)]
         payload = {
@@ -211,6 +209,8 @@ class _OutputSet:
             "config": cfg,
             "outputs": entries,
         }
+        if diagnostics is not None:
+            payload["diagnostics"] = diagnostics
         self.write_json("manifest.json", payload)
 
 
@@ -220,18 +220,6 @@ def _sha256(path: Path) -> str:
         while chunk := fh.read(_DIGEST_READ_BYTES):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _solve_row(scenario: ScenarioParams):
-    """Solve one sweep row; returns (theta or None, status)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NearDegenerateWarning)
-        try:
-            theta = solve_edge_angle(scenario)
-        except NoOptimumError:
-            return None, "no_optimum"
-    degenerate = any(issubclass(w.category, NearDegenerateWarning) for w in caught)
-    return theta, ("near_degenerate" if degenerate else "ok")
 
 
 def _design_columns(theta: float, _) -> tuple[float, float]:
@@ -244,7 +232,7 @@ def _gain_columns(theta: float, scenario: ScenarioParams) -> tuple[float, float]
 
 
 # e_r sweep commands: their two computed columns, named and evaluated at
-# the solved edge angle
+# the solved edge angle; they depend on e_r only through that angle
 _SWEEP_COLUMNS = {
     "design": (["ideal_directivity_db", "altitude_over_dmax"], _design_columns),
     "gain": (["max_rate_at_kappa0", "rate_at_kappa1"], _gain_columns),
@@ -254,16 +242,20 @@ _SWEEP_COLUMNS = {
 def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     names, columns = _SWEEP_COLUMNS[command]
     base = _scenario(cfg)
+    ers = _er_sweep(cfg)
+    sweep = solve_edge_angles(base, ers)
     with out.open_csv(f"{command}.csv").open("w", newline="") as fh:
         fh.write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
-        for er in _er_sweep(cfg):
-            scenario = base.with_efficiency(er)
-            theta, status = _solve_row(scenario)
-            if theta is None:
+        for er, theta, status in zip(ers, sweep.theta.tolist(), sweep.status):
+            if status == "no_optimum":
                 fh.write(_csv_line([er, "", "", "", status]))
             else:
-                fh.write(_csv_line([er, theta, *columns(theta, scenario), status]))
-    out.manifest(command, cfg)
+                fh.write(_csv_line([er, theta, *columns(theta, base), status]))
+    out.manifest(command, cfg, diagnostics={
+        "rows": {s: sweep.status.count(s) for s in ("ok", "near_degenerate", "no_optimum")},
+        "lockstep_passes": sweep.passes,
+        "scalar_rechecks": sweep.rechecks,
+    })
 
 
 def cmd_simulate(cfg: dict, out: _OutputSet) -> None:

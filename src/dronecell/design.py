@@ -23,6 +23,12 @@ _SCAN_LO_DEG = 0.5
 _SCAN_HI_DEG = 89.5
 _SCAN_STEP_DEG = 0.25
 _BISECT_MAX_ITER = 200
+# e_r rows per scan array: a (64, 357) block keeps the working set near 200 kB
+_SCAN_BLOCK_ROWS = 64
+# bound on the array-versus-scalar gap of the residual, per unit of the terms'
+# magnitudes and of the cancellation in 1 - sin (the largest gap measured is
+# 2.2e-16 of the magnitudes)
+_SIGN_SLACK = 4e-15
 NEAR_DEGENERATE_DEG = 85.0
 
 
@@ -76,61 +82,149 @@ def edge_angle_objective(theta_deg, params: ScenarioParams):
     th = np.asarray(theta_deg, dtype=float)
     if np.any(th <= 0.0) or np.any(th >= 90.0):
         raise ValueError("edge angle must lie in (0, 90) degrees")
-    out = _residual(th, params)
+    out = _residual(th, params, params.e_r)
     return float(out) if np.ndim(theta_deg) == 0 else out
 
 
-def _residual(th, params: ScenarioParams):
-    # edge_angle_objective without the range check, for float64 arrays or
-    # np.float64 scalars; the bisection calls it once per step
+def _residual_terms(th, params: ScenarioParams, e_r):
+    # the residual's three terms, without the range check, for float64
+    # arrays or np.float64 scalars; e_r broadcasts against th
     rad = np.radians(th)
     bump = params.a * np.exp(-params.b * (th - params.a))
     gap = params.eta_los - params.eta_nlos
-    return math.pi * np.tan(rad) / (9.0 * _LN10) \
-        + params.b * gap * bump / (1.0 + bump) ** 2 \
-        - params.e_r * math.pi * np.cos(rad) / (18.0 * _LN10 * (1.0 - np.sin(rad)))
+    return (math.pi * np.tan(rad) / (9.0 * _LN10),
+            params.b * gap * bump / (1.0 + bump) ** 2,
+            e_r * math.pi * np.cos(rad) / (18.0 * _LN10 * (1.0 - np.sin(rad))))
 
 
-def _bisect_root(lo: float, hi: float, f_lo: float, params: ScenarioParams) -> float:
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # float resolution reached
-            break
-        f_mid = float(_residual(np.float64(mid), params))
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _residual(th, params: ScenarioParams, e_r):
+    t1, t2, t3 = _residual_terms(th, params, e_r)
+    return t1 + t2 - t3
+
+
+def _sign_exact_residual(th: np.ndarray, params: ScenarioParams,
+                         e_r: np.ndarray) -> tuple[np.ndarray, int]:
+    """The residual at the points th (1-d, e_r per point), with the sign and
+    zero-ness of the np.float64 scalar evaluation at every point; and the
+    number of points evaluated again on that scalar path.
+
+    numpy's array loops for tan, exp, sin and cos may differ from its scalar
+    path in the last bit. Such a difference can flip the sign only where
+    |f| lies within a few ulps of the terms' magnitudes, scaled by the
+    cancellation in 1 - sin; those points are evaluated again as scalars.
+    """
+    terms = _residual_terms(th, params, e_r)
+    f = terms[0] + terms[1] - terms[2]
+    near = np.flatnonzero(np.abs(f) <= _gap_bound(th, terms))
+    for i in near.tolist():
+        f[i] = _residual(np.float64(th[i]), params, float(e_r[i]))
+    return f, near.size
+
+
+def _gap_bound(th, terms):
+    # bound on |array - scalar| of the residual at th, given its three terms
+    return _SIGN_SLACK * sum(np.abs(t) for t in terms) \
+        * (1.0 + 1.0 / (1.0 - np.sin(np.radians(th))))
+
+
+@dataclass(frozen=True)
+class EdgeAngleSweep:
+    """solve_edge_angles' result: per row the edge angle (NaN without an
+    optimum) and its status, plus the work the lockstep bisection did."""
+
+    theta: np.ndarray
+    status: list[str]
+    passes: int    # lockstep bisection passes
+    rechecks: int  # midpoints evaluated again on the scalar path
+
+
+def solve_edge_angles(params: ScenarioParams, e_rs) -> EdgeAngleSweep:
+    """Edge elevation angle (degrees) maximizing the achievable cell radius,
+    for params at every antenna efficiency exponent in e_rs.
+
+    A coarse sign-change scan over (0.5, 89.5) degrees, a block of rows
+    per array, brackets every stationary point; all brackets are then
+    bisected in lockstep. Every sign decision equals the one of a scalar
+    bisection, so each row's angle does not depend on the other rows. With
+    several stationary points, the one with the largest implied radius
+    wins. A row's status is "no_optimum" without any stationary point (the
+    efficiency exponent too close to 1 removes the optimum),
+    "near_degenerate" for solutions beyond 85 degrees, and "ok" otherwise.
+    """
+    e_r = np.asarray(e_rs, dtype=float)
+    if e_r.ndim != 1 or not np.all((e_r >= 0.0) & (e_r < 1.0)):
+        raise ValueError("antenna efficiency exponents must form a 1-d sequence in [0, 1)")
+    if not e_r.size:
+        return EdgeAngleSweep(theta=np.empty(0), status=[], passes=0, rechecks=0)
+    grid = np.arange(_SCAN_LO_DEG, _SCAN_HI_DEG + 0.5 * _SCAN_STEP_DEG, _SCAN_STEP_DEG)
+    scans = []
+    for lo in range(0, e_r.size, _SCAN_BLOCK_ROWS):
+        vals = _residual(grid, params, e_r[lo:lo + _SCAN_BLOCK_ROWS, None])  # (rows, grid)
+        # grid points that are roots or open a sign change, row by row in grid order
+        r, c = np.nonzero((vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0.0))
+        scans.append((lo + r, c, vals[r, c], lo + np.flatnonzero(vals[:, -1] == 0.0)))
+    rows, cols, f_lo, last = (np.concatenate(x) for x in zip(*scans))
+    roots = grid[cols]
+    bisect = np.flatnonzero(f_lo != 0.0)
+    roots[bisect], passes, rechecks = _bisect_lockstep(
+        grid[cols[bisect]], grid[cols[bisect] + 1], f_lo[bisect] > 0.0, params, e_r[rows[bisect]])
+    # a row's roots in grid order: its brackets', then a root at the grid end
+    rows = np.concatenate([rows, last])
+    roots = np.concatenate([roots, np.full(last.size, grid[-1])])
+    count = np.bincount(rows, minlength=e_r.size)
+    theta = np.full(e_r.size, np.nan)
+    single = count[rows] == 1
+    theta[rows[single]] = roots[single]
+    for row in np.flatnonzero(count > 1).tolist():
+        row_params = params.with_efficiency(float(e_r[row]))
+        theta[row] = max(roots[rows == row].tolist(),
+                         key=lambda x: log_dmax_offset(x, row_params))
+    status = ["no_optimum" if n == 0 else "near_degenerate" if t > NEAR_DEGENERATE_DEG else "ok"
+              for n, t in zip(count.tolist(), theta.tolist())]
+    return EdgeAngleSweep(theta=theta, status=status, passes=passes, rechecks=rechecks)
+
+
+def _bisect_lockstep(lo: np.ndarray, hi: np.ndarray, lo_positive: np.ndarray,
+                     params: ScenarioParams, e_r: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Bisect every bracket [lo, hi] at once, each as a scalar bisection
+    would: a bracket ends at an exact zero, or once its midpoint reaches
+    float resolution. Returns (roots, passes, scalar re-checks)."""
+    roots = np.empty(lo.size)
+    lo, hi = lo.copy(), hi.copy()
+    open_ = np.arange(lo.size)
+    passes = rechecks = 0
+    while open_.size and passes < _BISECT_MAX_ITER:
+        passes += 1
+        mid = 0.5 * (lo[open_] + hi[open_])
+        done = (mid == lo[open_]) | (mid == hi[open_])  # float resolution reached
+        roots[open_[done]] = mid[done]
+        open_, mid = open_[~done], mid[~done]
+        f, n = _sign_exact_residual(mid, params, e_r[open_])
+        rechecks += n
+        zero = f == 0.0
+        roots[open_[zero]] = mid[zero]
+        open_, mid, f = open_[~zero], mid[~zero], f[~zero]
+        up = (f > 0.0) == lo_positive[open_]
+        lo[open_[up]] = mid[up]
+        hi[open_[~up]] = mid[~up]
+    roots[open_] = 0.5 * (lo[open_] + hi[open_])
+    return roots, passes, rechecks
 
 
 def solve_edge_angle(params: ScenarioParams) -> float:
-    """Edge elevation angle (degrees) maximizing the achievable cell radius.
+    """Edge elevation angle (degrees) maximizing the achievable cell radius:
+    solve_edge_angles for params' own efficiency exponent.
 
-    Coarse sign-change scan over (0.5, 89.5) degrees followed by bisection;
-    with several stationary points, the one with the largest implied radius
-    wins. Raises NoOptimumError when no stationary point exists (the
-    efficiency exponent too close to 1 removes the optimum), and warns with
+    Raises NoOptimumError when no stationary point exists, and warns with
     NearDegenerateWarning for solutions beyond 85 degrees.
     """
-    grid = np.arange(_SCAN_LO_DEG, _SCAN_HI_DEG + 0.5 * _SCAN_STEP_DEG, _SCAN_STEP_DEG)
-    vals = edge_angle_objective(grid, params)
-    # grid points that are roots or open a sign change, in grid order
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    roots = [float(grid[i]) if vals[i] == 0.0 else
-             _bisect_root(float(grid[i]), float(grid[i + 1]), float(vals[i]), params)
-             for i in hits]
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
+    sweep = solve_edge_angles(params, [params.e_r])
+    theta, status = float(sweep.theta[0]), sweep.status[0]
+    if status == "no_optimum":
         raise NoOptimumError(
             f"no stationary edge angle in ({_SCAN_LO_DEG}, {_SCAN_HI_DEG}) degrees "
             f"for e_r={params.e_r}")
-    theta = roots[0] if len(roots) == 1 else max(
-        roots, key=lambda r: log_dmax_offset(r, params))
-    if theta > NEAR_DEGENERATE_DEG:
+    if status == "near_degenerate":
         warnings.warn(
             f"optimal edge angle {theta:.3f} deg exceeds {NEAR_DEGENERATE_DEG} deg; "
             "geometry is near-degenerate", NearDegenerateWarning, stacklevel=2)

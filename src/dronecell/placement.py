@@ -79,6 +79,11 @@ def _sbc_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best of the 10 circles of those 4 points, and its determining points
     become the support. The radius strictly grows, so the loop ends.
     Converged instances freeze, so no instance depends on the others.
+
+    The tolerance of that test can hide a point just outside a diameter
+    circle, whose exact circle is then a circumcircle the diameter circle
+    misses by up to the tolerance; _gate_diameters decides those supports
+    exactly before an instance freezes.
     """
     b = pts.shape[0]
     support = np.zeros((b, 3), dtype=np.intp)
@@ -88,6 +93,7 @@ def _sbc_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dist = np.hypot(*np.moveaxis(pts[active] - centers[active, None], -1, 0))
         far = np.argmax(dist, axis=1)
         out = dist.max(axis=1) > radii[active] * _IN_CIRCLE_EPS
+        moved = _gate_diameters(pts, active, dist, ~out, centers, radii, support)
         active, far = active[out], far[out]
         quad = np.concatenate([support[active], far[:, None]], axis=1)
         q = pts[active[:, None], quad]  # (K, 4, 2)
@@ -100,7 +106,60 @@ def _sbc_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.arange(active.size)
         centers[active], radii[active] = cand[rows, pick], rad[rows, pick]
         support[active] = quad[rows[:, None], _SUPPORTS[pick]]
+        if moved.size:
+            active = np.concatenate([active, moved])
     return centers, radii
+
+
+def _gate_diameters(pts: np.ndarray, active: np.ndarray, dist: np.ndarray, inside: np.ndarray,
+                    centers: np.ndarray, radii: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Of the active instances, those whose points all lie inside their
+    circle up to the tolerance (inside): where the support is a diameter
+    pair a, b and some point p lies strictly outside its circle,
+    (a - p).(b - p) > 0, replace the circle with the smallest around a, b
+    and the farthest such p, in place. dist holds the active instances'
+    point distances to their centers. Returns the instances changed."""
+    rows = np.flatnonzero(inside & (support[active, 1] == support[active, 2]))
+    # only a point within two tolerances of the rim can lie outside, and a
+    # and b are two such points
+    rim = dist[rows] * (_IN_CIRCLE_EPS * _IN_CIRCLE_EPS) >= radii[active[rows], None]
+    rows = rows[rim.sum(axis=1) > 2]
+    idx, dist = active[rows], dist[rows]
+    if not idx.size:
+        return idx
+    ia, ib = support[idx, 0], support[idx, 1]
+    q = pts[idx]
+    da, db = pts[idx, ia][:, None] - q, pts[idx, ib][:, None] - q
+    outside = da[..., 0] * db[..., 0] + da[..., 1] * db[..., 1] > 0.0
+    hit = outside.any(axis=1)
+    idx, ia, ib = idx[hit], ia[hit], ib[hit]
+    ip = np.argmax(np.where(outside[hit], dist[hit], -np.inf), axis=1)
+    a, b, p = pts[idx, ia], pts[idx, ib], pts[idx, ip]
+    # p sees ab under an acute angle; an obtuse angle at a or b makes the
+    # circle on p and the other end the smallest, else it is the circumcircle
+    at_a = np.sum((p - a) * (b - a), axis=1) < 0.0
+    at_b = ~at_a & (np.sum((p - b) * (a - b), axis=1) < 0.0)
+    circ = ~(at_a | at_b)
+    center = np.where(at_a[:, None], (b + p) / 2.0, (a + p) / 2.0)
+    center[circ] = p[circ] + _circumcenter_offsets(a[circ] - p[circ], b[circ] - p[circ])
+    centers[idx] = center
+    radii[idx] = np.hypot(*np.moveaxis(np.stack([a, b, p], axis=1) - center[:, None], -1, 0)
+                          ).max(axis=1)
+    support[idx] = np.stack([np.where(at_a, ib, ia), np.where(circ, ib, ip), ip], axis=1)
+    return idx
+
+
+def _circumcenter_offsets(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Circumcenters of the triangles (0, u, w), (K, 2) each, relative to
+    the vertex at 0. Accurate when the angle there is far from 0 and 180
+    degrees: u and w are exact-to-rounding differences, and their cross
+    product does not cancel. Scaled by a power of two, like _circumcenters."""
+    _, e = np.frexp(np.maximum(np.abs(u).max(axis=1), np.abs(w).max(axis=1)))
+    u, w = np.ldexp(u, -e[:, None]), np.ldexp(w, -e[:, None])
+    u2, w2 = np.sum(u * u, axis=1), np.sum(w * w, axis=1)
+    d = 2.0 * (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    off = np.stack([w[:, 1] * u2 - u[:, 1] * w2, u[:, 0] * w2 - w[:, 0] * u2], axis=1) / d[:, None]
+    return np.ldexp(off, e[:, None])
 
 
 def _circumcenters(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,59 @@ def theta_star_grid(p, step=0.001):
     return float(th[np.argmax(log_dmax_curve(th, p))])
 
 
+def edge_residual(theta_deg, p):
+    """Stationarity residual of the achievable radius in the edge angle:
+    the negative theta-derivative of log_dmax_curve, in closed form, for a
+    float64 array or an np.float64 scalar."""
+    ln10 = math.log(10.0)
+    rad = np.radians(theta_deg)
+    bump = p.a * np.exp(-p.b * (theta_deg - p.a))
+    gap = p.eta_los - p.eta_nlos
+    return math.pi * np.tan(rad) / (9.0 * ln10) \
+        + p.b * gap * bump / (1.0 + bump) ** 2 \
+        - p.e_r * math.pi * np.cos(rad) / (18.0 * ln10 * (1.0 - np.sin(rad)))
+
+
+def edge_roots(p):
+    """Every stationary edge angle, one row at a time: a sign-change scan
+    of the residual on the 0.25-degree grid over [0.5, 89.5], then a
+    scalar bisection of each bracket on np.float64 midpoints, until a
+    midpoint is an exact zero or reaches float resolution."""
+    grid = np.arange(0.5, 89.5 + 0.125, 0.25)
+    vals = edge_residual(grid, p)
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            root = None
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                f = float(edge_residual(np.float64(mid), p))
+                if f == 0.0:
+                    root = mid
+                    break
+                if (f > 0.0) == (vals[i] > 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi) if root is None else root)
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def best_root(roots, p):
+    """Of the stationary edge angles, the one with the largest radius; None
+    without any."""
+    if not roots:
+        return None
+    return max(roots, key=lambda r: float(log_dmax_curve(r, p)))
+
+
 def static_mean_rate(theta_edge_deg, p, n_nodes=400):
     """E[rate] for a user uniform on the unit disc, Gauss-Legendre quadrature."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)

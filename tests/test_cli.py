@@ -182,6 +182,31 @@ class TestGoldenFiles:
                      "--out", str(tmp_path)]) == 0
         assert digests(tmp_path) == {f"{command}.csv": sha256}
 
+    @pytest.mark.parametrize("command,sha256", [
+        ("design", "976a943bdb6e3ce782aef17824f2d2849ac213477b7da7373f2b58ba21511256"),
+        ("gain", "d42effb3a073a08c3df17da6065d2e958f8646bb266bf1dd2eb0f6686f5eb951")])
+    def test_fine_sweep_manifest_reports_the_solver(self, tmp_path, command, sha256):
+        # the diagnostics go to the manifest only: the CSV keeps its digest
+        assert main([command, "--er-min", "0", "--er-max", "0.99", "--er-step", "0.001",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == [{"path": f"{command}.csv", "sha256": sha256}]
+        diag = manifest["diagnostics"]
+        assert diag["rows"] == {"ok": 991, "near_degenerate": 0, "no_optimum": 0}
+        assert diag["lockstep_passes"] > 40 and diag["scalar_rechecks"] > 991
+
+    @pytest.mark.parametrize("command", ["design", "gain"])
+    def test_sweep_status_counts_match_the_csv(self, tmp_path, command):
+        # e_r 0.98 ... 0.99999 holds ok, near-degenerate and no-optimum rows
+        assert main([command, "--er-min", "0.98", "--er-max", "0.99999", "--er-step", "0.00001",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / f"{command}.csv")
+        statuses = [r[4] for r in rows]
+        diag = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+        assert diag["rows"] == {s: statuses.count(s)
+                                for s in ("ok", "near_degenerate", "no_optimum")}
+        assert all(diag["rows"].values())
+
     def test_cdf_csvs_are_byte_stable(self, tmp_path):
         # reference: the row-by-row writer the CDF files were first emitted by
         def reference(value_column, sorted_samples):

@@ -112,27 +112,94 @@ class TestSolveEdgeAngle:
 
     @pytest.mark.parametrize("er", [0.0, 0.6, 0.99])
     def test_scalar_residual_is_bit_identical(self, er, monkeypatch):
-        # the bisection evaluates the residual on np.float64 scalars; at every
-        # point it visits, that must equal the 0-d array path the checked
-        # public function takes, bit for bit
+        # the lockstep bisection decides on array residuals, re-evaluated on
+        # np.float64 scalars where they lie near zero; at every midpoint it
+        # visits, the sign and zero-ness it used must equal those of the 0-d
+        # array path the checked public function takes, and that path must
+        # equal the scalar one bit for bit
         p = URBAN.with_efficiency(er)
         visited = []
-        residual = design._residual
+        sign_exact = design._sign_exact_residual
 
-        def recording(th, params):
-            if np.ndim(th) == 0:  # not the grid scan
-                visited.append(float(th))
-            return residual(th, params)
+        def recording(th, params, e_r):
+            f, n = sign_exact(th, params, e_r)
+            visited.extend(zip(th.tolist(), f.tolist()))
+            return f, n
 
-        monkeypatch.setattr(design, "_residual", recording)
+        monkeypatch.setattr(design, "_sign_exact_residual", recording)
         solve_edge_angle(p)
         monkeypatch.undo()
         assert len(visited) > 30
-        for x in visited:
-            scalar = residual(np.float64(x), p)
-            array = residual(np.asarray(x, dtype=float), p)
+        for x, used in visited:
+            scalar = design._residual(np.float64(x), p, er)
+            array = design._residual(np.asarray(x, dtype=float), p, er)
             assert scalar.tobytes() == array.tobytes()
-            assert float(scalar) == edge_angle_objective(x, p)
+            exact = edge_angle_objective(x, p)
+            assert float(scalar) == exact
+            assert (used > 0.0, used == 0.0) == (exact > 0.0, exact == 0.0)
+
+    @pytest.mark.parametrize("er", [0.0, 0.6, 0.99])
+    def test_array_scalar_gap_keeps_a_margin(self, er):
+        # only points where the array residual lies within the gap bound are
+        # re-evaluated as scalars; the measured gap must stay far inside it,
+        # so that a numpy whose array loops drift further fails here
+        p = URBAN.with_efficiency(er)
+        th = np.concatenate([np.linspace(0.5, 89.5, 8001), np.linspace(40.0, 60.0, 4001),
+                             np.linspace(85.0, 89.5, 4001)])
+        terms = design._residual_terms(th, p, er)
+        array = terms[0] + terms[1] - terms[2]
+        scalar = np.array([design._residual(np.float64(x), p, er) for x in th.tolist()])
+        assert np.all(np.abs(array - scalar) <= design._gap_bound(th, terms) / 8.0)
+
+
+def _same_angles(sweep, reference):
+    """solve_edge_angles' result against oracle angles (None: no optimum),
+    bit for bit, with the status each angle implies."""
+    for theta, status, ref in zip(sweep.theta.tolist(), sweep.status, reference):
+        if ref is None:
+            assert math.isnan(theta) and status == "no_optimum"
+        else:
+            assert theta == ref
+            assert status == ("near_degenerate" if ref > design.NEAR_DEGENERATE_DEG else "ok")
+
+
+class TestSolveEdgeAngles:
+    def test_benchmark_grid_matches_scalar_bisection(self):
+        ers = [round(0.001 * i, 12) for i in range(991)]
+        sweep = design.solve_edge_angles(URBAN, ers)
+        rows = [URBAN.with_efficiency(er) for er in ers]
+        _same_angles(sweep, [oracles.best_root(oracles.edge_roots(row), row) for row in rows])
+
+    def test_random_scenarios_match_scalar_bisection(self):
+        rng = np.random.default_rng(23)
+        several = 0
+        for _ in range(40):
+            p = oracles.random_scenario(rng)
+            ers = rng.uniform(0.0, 0.9999, 100)
+            rows = [p.with_efficiency(float(er)) for er in ers]
+            roots = [oracles.edge_roots(row) for row in rows]
+            _same_angles(design.solve_edge_angles(p, ers),
+                         [oracles.best_root(r, row) for r, row in zip(roots, rows)])
+            several += sum(len(r) > 1 for r in roots)
+        # the tie-break between stationary points is exercised too
+        assert several > 0
+
+    def test_each_row_as_if_alone(self):
+        ers = [0.0, 0.999, 0.6, 0.99999, 0.3]
+        sweep = design.solve_edge_angles(URBAN, ers)
+        assert sweep.status == ["ok", "near_degenerate", "ok", "no_optimum", "ok"]
+        for er, theta in zip(ers, sweep.theta.tolist()):
+            alone = design.solve_edge_angles(URBAN, [er]).theta[0]
+            assert theta == alone or math.isnan(theta) and math.isnan(alone)
+
+    def test_empty_sweep(self):
+        sweep = design.solve_edge_angles(URBAN, [])
+        assert sweep.theta.shape == (0,) and sweep.status == []
+
+    @pytest.mark.parametrize("ers", [[0.5, 1.0], [-0.1], [np.nan], [[0.5]]])
+    def test_rejects_bad_efficiencies(self, ers):
+        with pytest.raises(ValueError):
+            design.solve_edge_angles(URBAN, ers)
 
 
 class TestGeometry:

@@ -42,6 +42,27 @@ def point_sets(draw):
     return np.array(draw(st.permutations(pts)))
 
 
+NEAR_DEGENERATE_TRIANGLES = [
+    # thin: the diameter circle on the long side leaves (0, 5.28e-8)
+    # outside by only a few ulps of the radius
+    [(0.0, 0.0), (0.0, 5.28420564e-8), (1.0, 4.39404714e-8)],
+    # rotated, with two points 1.1e-12 apart: neither diameter circle
+    # through (3, 4) holds the third point, and the triangle's
+    # determinant is below 1e-12 of its squared size
+    [(0.0, 0.0), (3.0, 4.0), (-2.0**-40 + 3.0 * 2.0**-88, 3.0 * 2.0**-42 + 2.0**-86)],
+]
+
+
+def exact_circumcenter(tri):
+    """The circumcenter of a triangle, the smallest circle's center for
+    the triangles above, in rational arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = [(Fraction(x), Fraction(y)) for x, y in tri]
+    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    return (float((a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d),
+            float((a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d))
+
+
 def random_users(rng, n):
     """n users uniform over the unit disc, shape (n, 2)."""
     r = np.sqrt(rng.random(n))
@@ -119,26 +140,20 @@ class TestMinEnclosingCircle:
         d = np.hypot(pts[..., 0] - c[:, None, 0], pts[..., 1] - c[:, None, 1])
         assert np.all(d <= r[:, None] * (1.0 + 1e-12))
 
-    @pytest.mark.parametrize("tri", [
-        # thin: the diameter circle on the long side leaves (0, 5.28e-8)
-        # outside by only a few ulps of the radius
-        [(0.0, 0.0), (0.0, 5.28420564e-8), (1.0, 4.39404714e-8)],
-        # rotated, with two points 1.1e-12 apart: neither diameter circle
-        # through (3, 4) holds the third point, and the triangle's
-        # determinant is below 1e-12 of its squared size
-        [(0.0, 0.0), (3.0, 4.0), (-2.0**-40 + 3.0 * 2.0**-88, 3.0 * 2.0**-42 + 2.0**-86)],
-    ])
+    @pytest.mark.parametrize("tri", NEAR_DEGENERATE_TRIANGLES)
     def test_oracle_on_near_degenerate_triangles_in_every_order(self, tri):
-        # the smallest circle is the circumcircle, whose exact center
-        # rational arithmetic gives
-        (ax, ay), (bx, by), (cx, cy) = [(Fraction(x), Fraction(y)) for x, y in tri]
-        d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-        exact = (float((a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d),
-                 float((a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d))
+        exact = exact_circumcenter(tri)
         for pts in itertools.permutations(tri):
             c, r = oracles.brute_force_mec(pts)
             assert math.hypot(*(c - exact)) <= 1e-12 * r
+
+    @pytest.mark.parametrize("tri", NEAR_DEGENERATE_TRIANGLES)
+    def test_near_degenerate_triangles_in_every_order(self, tri):
+        # a point within the containment tolerance of a diameter circle, but
+        # strictly outside it, still makes the circumcircle the answer
+        exact = exact_circumcenter(tri)
+        c, r = min_enclosing_circle(np.array(list(itertools.permutations(tri))))
+        assert np.all(np.hypot(*(c - exact).T) <= 1e-9 * r)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.lists(
