@@ -1,7 +1,7 @@
 """Standalone drone small cells: coverage-optimal geometry and dynamic
 horizontal repositioning gains under Poisson user populations."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .channel import (expected_path_loss_db, g_pos, max_gain, p_los, rate_function,
                       user_rate)

@@ -205,31 +205,28 @@ def _aggregate_rates(positions: np.ndarray, users: np.ndarray, rate) -> np.ndarr
     return rate(np.hypot(dx, dy)).sum(axis=-1)
 
 
-def solve_mar_batch(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def solve_mar_batch(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.ndarray]:
     """Solve the MAR placement for a batch of same-size instances.
 
     users: (B, N, 2) in the normalized frame (cell center at the origin,
     unit radius), N >= 1; rate and rate_terms are rate_function's and
-    rate_derivatives' callables for the same geometry; sbc_centers: (B, 2).
-    The ascent starts from the cell center, every user, the SBC center and
-    the best node of a coarse polar grid. Returns (positions (B, 2),
-    objectives (B,)), each instance's best refined point. Each instance is
-    solved independently, so results do not depend on how instances are
-    batched together.
+    rate_derivatives' callables for the same geometry. The ascent starts
+    from the cell center, every user and the best node of a coarse polar
+    grid. Returns (positions (B, 2), objectives (B,)), each instance's best
+    refined point. Each instance is solved independently, so results do
+    not depend on how instances are batched together.
     """
     users = np.asarray(users, dtype=float)
     b, n, _ = users.shape
-    size = max(1, _ASCENT_BLOCK // (n * (n + 3)))  # instances of N + 3 starts
+    size = max(1, _ASCENT_BLOCK // (n * (n + 2)))  # instances of N + 2 starts
     positions, values = np.empty((b, 2)), np.empty(b)
     for i in range(0, b, size):
         positions[i:i + size], values[i:i + size] = _solve_block(
-            users[i:i + size], rate, rate_terms, sbc_centers[i:i + size])
+            users[i:i + size], rate, rate_terms)
     return positions, values
 
 
-def _solve_block(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _solve_block(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.ndarray]:
     """solve_mar_batch on one block of instances, every start at once."""
     b = users.shape[0]
     grid_vals = _aggregate_rates(np.broadcast_to(_POLAR_GRID, (b,) + _POLAR_GRID.shape),
@@ -238,7 +235,6 @@ def _solve_block(users: np.ndarray, rate, rate_terms, sbc_centers: np.ndarray
     starts = np.concatenate([
         np.zeros((b, 1, 2)),
         users,
-        sbc_centers[:, None, :],
         grid_best[:, None, :],
     ], axis=1)  # (B, S, 2)
     s = starts.shape[1]

@@ -368,41 +368,43 @@ def _sample_slots(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray,
 # Chunked engine
 # ---------------------------------------------------------------------------
 
-def _run_chunk(config: SimConfig, start: int, stop: int) -> dict:
-    """Simulate timeslots [start, stop) and return normalized-frame arrays."""
+def _run_chunk(config: SimConfig, theta: float, start: int, stop: int) -> dict:
+    """Simulate timeslots [start, stop) at edge angle theta; normalized-frame arrays."""
     counts, users = _sample_slots(config, start, stop)
     return {"counts": counts, "users": users,
-            "positions": _place_slots(users, counts, config.strategies, config.scenario)}
+            "positions": _place_slots(users, counts, config.strategies, config.scenario, theta)}
 
 
 def _place_slots(users: np.ndarray, counts: np.ndarray, strategies: tuple[Strategy, ...],
-                 scenario: ScenarioParams) -> dict[Strategy, np.ndarray]:
+                 scenario: ScenarioParams, theta: float) -> dict[Strategy, np.ndarray]:
     """Drone positions of every requested strategy, {strategy: (L, 2)}, for
     L slots whose users, counts[i] of them in slot i, lie in slot order in
-    users (U, 2), in the normalized frame.
+    users (U, 2), in the normalized frame; theta is the scenario's edge
+    angle.
 
     An empty slot keeps the drone at the cell center. The slots with one
-    user count are gathered once into a (B, N, 2) block; the SBC center
-    seeds the MAR search on that block. CMP takes the SBC or the MAR
+    user count are gathered once into a (B, N, 2) block, which the SBC and
+    the MAR solver each solve on their own. CMP takes the SBC or the MAR
     position, whichever is nearer the center; ties go to the SBC (fairness)
     position.
     """
     length = len(counts)
+    need_sbc = Strategy.SBC in strategies or Strategy.CMP in strategies
     need_mar = Strategy.MAR in strategies or Strategy.CMP in strategies
     if need_mar:
-        theta = solve_edge_angle(scenario)
         rate = rate_function(theta, scenario)
         rate_terms = rate_derivatives(theta, scenario)
     sbc, mar = np.zeros((length, 2)), np.zeros((length, 2))
-    if need_mar or Strategy.SBC in strategies:
+    if need_sbc or need_mar:
         offsets = np.cumsum(counts) - counts
         # a set, not np.unique: its first call alone adds 1.5 MB of resident memory
         for n in sorted(set(counts.tolist()) - {0}):
             rows = np.flatnonzero(counts == n)
             block = users[offsets[rows, None] + np.arange(n)]
-            sbc[rows], _ = min_enclosing_circle(block)
+            if need_sbc:
+                sbc[rows], _ = min_enclosing_circle(block)
             if need_mar:
-                mar[rows], _ = solve_mar_batch(block, rate, rate_terms, sbc[rows])
+                mar[rows], _ = solve_mar_batch(block, rate, rate_terms)
     use_sbc = np.hypot(*sbc.T) <= np.hypot(*mar.T)
     positions = {Strategy.STATIC: np.zeros((length, 2)), Strategy.SBC: sbc,
                  Strategy.MAR: mar, Strategy.CMP: np.where(use_sbc[:, None], sbc, mar)}
@@ -448,7 +450,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     rate = rate_function(theta, config.scenario)
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
-    tasks = [(config, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    tasks = [(config, theta, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     if workers == 1 or len(tasks) == 1:
         chunks = [_run_chunk(*t) for t in tasks]
     else:

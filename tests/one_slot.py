@@ -11,7 +11,8 @@ import numpy as np
 from dronecell import URBAN, rate_function, solve_edge_angle
 from dronecell.sim import _place_slots
 
-RATE = rate_function(solve_edge_angle(URBAN), URBAN)
+THETA = solve_edge_angle(URBAN)
+RATE = rate_function(THETA, URBAN)
 
 
 class Placed(NamedTuple):
@@ -29,5 +30,6 @@ def aggregate(users, position) -> float:
 def place(users, strategy) -> Placed:
     """Where strategy puts the drone for one slot of users (n, 2)."""
     users = np.asarray(users, dtype=float).reshape(-1, 2)
-    position = _place_slots(users, np.array([len(users)]), (strategy,), URBAN)[strategy][0]
+    position = _place_slots(users, np.array([len(users)]), (strategy,), URBAN,
+                            THETA)[strategy][0]
     return Placed(position, np.hypot(*(users - position).T), aggregate(users, position))

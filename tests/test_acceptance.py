@@ -132,7 +132,7 @@ def _mar_sensitivity_report(static_mean: float, mar_mean: float) -> str:
     quad = oracles.static_mean_rate(THETA, URBAN)
     # how often the MAR solution touches the feasible-region boundary
     cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=2000, seed=SEED)
-    radii = np.hypot(*_run_chunk(cfg, 0, cfg.n_timeslots)["positions"][Strategy.MAR].T)
+    radii = np.hypot(*_run_chunk(cfg, THETA, 0, cfg.n_timeslots)["positions"][Strategy.MAR].T)
     at_boundary = int(np.count_nonzero(radii >= 1.0 - 1e-9))
     return "\n".join([
         "--- sensitivity report (out-of-band MAR mean) ---",

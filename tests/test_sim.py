@@ -18,7 +18,7 @@ THETA = solve_edge_angle(URBAN)
 def chunk_slots(cfg):
     """Per-slot normalized users and the positions of every strategy, read
     from one engine chunk over the whole run."""
-    chunk = _run_chunk(cfg, 0, cfg.n_timeslots)
+    chunk = _run_chunk(cfg, THETA, 0, cfg.n_timeslots)
     users = np.split(chunk["users"], np.cumsum(chunk["counts"])[:-1])
     return users, chunk["positions"]
 
@@ -161,7 +161,8 @@ class TestEngine:
         cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=40, seed=13)
         users, positions = chunk_slots(cfg)
         stats = run_simulation(cfg)
-        alone = [_place_slots(pts, np.array([len(pts)]), cfg.strategies, URBAN) for pts in users]
+        alone = [_place_slots(pts, np.array([len(pts)]), cfg.strategies, URBAN, THETA)
+                 for pts in users]
         for s in cfg.strategies:
             ref = np.concatenate([a[s] for a in alone])
             assert np.array_equal(positions[s], ref)
@@ -179,6 +180,30 @@ class TestEngine:
             for other in runs[1:]:
                 assert np.array_equal(other[s].rate_samples, runs[0][s].rate_samples)
                 assert np.array_equal(other[s].travel_samples, runs[0][s].travel_samples)
+
+    def test_one_edge_angle_solve_per_run(self, monkeypatch):
+        calls = []
+
+        def counting_solve(params):
+            calls.append(params)
+            return solve_edge_angle(params)
+
+        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 7)
+        monkeypatch.setattr(sim, "solve_edge_angle", counting_solve)
+        run_simulation(SimConfig(scenario=URBAN, lam=3.0, n_timeslots=21, seed=4), workers=1)
+        assert calls == [URBAN]
+
+    def test_mar_runs_without_the_sbc_solver(self, monkeypatch):
+        cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=200, seed=5)
+        counts, users = sim._sample_slots(cfg, 0, cfg.n_timeslots)
+        every = _place_slots(users, counts, cfg.strategies, URBAN, THETA)
+
+        def no_sbc(points):
+            raise AssertionError("MAR alone must not solve the SBC")
+
+        monkeypatch.setattr(sim, "min_enclosing_circle", no_sbc)
+        alone = _place_slots(users, counts, (Strategy.MAR,), URBAN, THETA)
+        assert alone[Strategy.MAR].tobytes() == every[Strategy.MAR].tobytes()
 
     def test_bit_identical_across_sampler_blocks(self, monkeypatch):
         cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=300, seed=4)
