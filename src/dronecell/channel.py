@@ -15,10 +15,6 @@ import numpy as np
 from .params import SPEED_OF_LIGHT, ScenarioParams
 
 
-def _p_los_raw(theta_user_deg, params: ScenarioParams):
-    return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_user_deg - params.a)))
-
-
 def _scalar_like(out, ref):
     return float(out) if np.ndim(ref) == 0 else out
 
@@ -32,7 +28,8 @@ def p_los(theta_user_deg, params: ScenarioParams):
     th = np.asarray(theta_user_deg, dtype=float)
     if np.any(th < 0.0) or np.any(th > 90.0):
         raise ValueError("elevation angle must lie in [0, 90] degrees")
-    return _scalar_like(_p_los_raw(th, params), theta_user_deg)
+    return _scalar_like(1.0 / (1.0 + params.a * np.exp(-params.b * (th - params.a))),
+                        theta_user_deg)
 
 
 def fspl_offset_db(params: ScenarioParams) -> float:
@@ -121,10 +118,12 @@ def rate_derivatives(theta_edge_deg: float, params: ScenarioParams):
     deg_t = math.degrees(t)
 
     def terms(kappa):
+        # _g's operations in _g's order, with the s-curve evaluated once
         k = np.asarray(kappa, dtype=float)
-        q = 10.0 ** ((g_edge - _g(k, t, params)) * 0.1)
-        p = _p_los_raw(np.degrees(np.arctan2(t, k)), params)
+        den = 1.0 + params.a * np.exp(-params.b * (np.degrees(np.arctan2(t, k)) - params.a))
         s = k * k + t * t
+        q = 10.0 ** ((g_edge - (d_eta / den + 10.0 * np.log10(s))) * 0.1)
+        p = 1.0 / den
         sigma = q / (1.0 + q)
         p1 = params.b * p * (1.0 - p)                 # dP/dtheta
         p2 = params.b * p1 * (1.0 - 2.0 * p)          # d2P/dtheta2
@@ -148,17 +147,6 @@ def user_rate(kappa, theta_edge_deg: float, params: ScenarioParams):
     if np.any(k < 0.0) or np.any(k > 2.0):
         raise ValueError("kappa must lie in [0, 2]: the drone never leaves the cell")
     return _scalar_like(rate_function(theta_edge_deg, params)(k), kappa)
-
-
-def max_gain(e_r: float, params: ScenarioParams) -> float:
-    """Best-case per-user rate: drone directly above the user (kappa = 0),
-    cell edge angle solved for the given antenna efficiency exponent.
-    """
-    from .design import solve_edge_angle  # local import: design builds on this module
-
-    p = params.with_efficiency(e_r)
-    theta = solve_edge_angle(p)
-    return user_rate(0.0, theta, p)
 
 
 def _check_edge_angle(theta_edge_deg: float) -> None:

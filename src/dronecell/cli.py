@@ -39,7 +39,6 @@ _DEFAULTS = {
     "timeslots": 100_000,
     "seed": 0,
     "strategies": "static,sbc,mar,cmp",
-    "dmax": 500.0,
     "workers": 1,
     "er_min": 0.0,
     "er_max": 0.9,
@@ -97,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--strategies", type=str, dest="strategies",
                    help="comma list out of static,sbc,mar,cmp")
-    p.add_argument("--dmax", type=float, dest="dmax")
     p.add_argument("--workers", type=int, dest="workers",
                    help="parallel workers; never affects the outputs")
     return parser
@@ -268,7 +266,6 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
         n_timeslots=int(cfg["timeslots"]),
         seed=int(cfg["seed"]),
         strategies=_parse_strategies(cfg["strategies"]),
-        d_max=float(cfg["dmax"]),
     )
     workers = int(cfg["workers"])
     stats = run_simulation(sim_config, workers=workers)
@@ -279,13 +276,12 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
     _write_cdfs([out.open_csv(f"travel_cdf_{s.value}.csv") for s in sim_config.strategies],
                 "distance_over_dmax", [st.travel_samples for st in per])
 
-    theta = stats.geometry.theta_edge_deg
+    theta = stats.theta_edge_deg
     summary = {
         "cell": {
             "theta_edge_deg": theta,
             "altitude_over_dmax": math.tan(math.radians(theta)),
             "e_r": scenario.e_r,
-            "d_max": sim_config.d_max,
             "max_rate_at_kappa0": user_rate(0.0, theta, scenario),
         },
         "run": {

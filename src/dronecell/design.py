@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import p_los
+from .channel import p_los, user_rate
 from .params import ScenarioParams
 
 _LN10 = math.log(10.0)
@@ -231,19 +231,9 @@ def solve_edge_angle(params: ScenarioParams) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class CellGeometry:
-    """Cell proportions: edge elevation angle, radius and drone altitude."""
-
-    theta_edge_deg: float
-    d_max: float
-    altitude: float
-
-    def __post_init__(self) -> None:
-        if not self.d_max > 0.0:
-            raise ValueError(f"cell radius must be positive, got {self.d_max}")
-
-    @classmethod
-    def from_edge_angle(cls, theta_edge_deg: float, d_max: float) -> "CellGeometry":
-        return cls(theta_edge_deg=float(theta_edge_deg), d_max=float(d_max),
-                   altitude=float(d_max) * math.tan(math.radians(theta_edge_deg)))
+def max_gain(e_r: float, params: ScenarioParams) -> float:
+    """Best-case per-user rate: drone directly above the user (kappa = 0),
+    cell edge angle solved for the given antenna efficiency exponent.
+    """
+    p = params.with_efficiency(e_r)
+    return user_rate(0.0, solve_edge_angle(p), p)

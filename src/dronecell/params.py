@@ -7,6 +7,23 @@ from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
+# Largest constants at which no float64 (largest 1.8e308) overflows, for user
+# elevations theta in [0, 90] degrees, kappa in [0, 2] and the edge angles
+# the solver returns (0.5 to 89.5 degrees, so tan(theta_edge) >= 8.7e-3):
+# - a, b <= 1e4 and a*b <= 300: the s-curve's bump a*exp(b*(a - theta))
+#   peaks at theta = 0, at most 1e4*e^300 = 1.9e134, so the residual's
+#   (1 + bump)^2 stays below 4e268 and b*gap*bump below 2e141;
+# - gap = eta_nlos - eta_los <= 1000 dB: the residual's s-curve term
+#   b*gap*bump/(1 + bump)^2 <= b*gap/4 <= 2.5e6 and its other terms stay
+#   below 35, so the scan's product of two residuals stays below 1e13; the
+#   rate's 10^((g_edge - g)/10) stays below 10^((gap + 41.2)/10) < 1e105,
+#   41.2 dB being 10*log10(1 + 1/tan^2) at the smallest edge angle; and
+#   the first kappa-derivative of g stays below b*gap*(180/pi)/tan(0.5 deg)
+#   = 6.6e10, so the rate's second derivative, which squares it, below 1e22.
+_MAX_A = _MAX_B = 1e4
+_MAX_AB = 300.0
+_MAX_LOSS_GAP_DB = 1000.0
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -33,10 +50,16 @@ class ScenarioParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.a > 0.0 and self.b > 0.0):
             raise ValueError(f"s-curve constants must be positive, got a={self.a}, b={self.b}")
+        if not (self.a <= _MAX_A and self.b <= _MAX_B and self.a * self.b <= _MAX_AB):
+            raise ValueError(f"s-curve constants must satisfy a <= {_MAX_A:g}, b <= {_MAX_B:g} "
+                             f"and a*b <= {_MAX_AB:g}, got a={self.a}, b={self.b}")
         if not self.freq_hz > 0.0:
             raise ValueError(f"carrier frequency must be positive, got {self.freq_hz}")
         if self.eta_nlos < self.eta_los:
             raise ValueError("eta_nlos must be >= eta_los (shadowed users lose at least as much)")
+        if not self.eta_nlos - self.eta_los <= _MAX_LOSS_GAP_DB:
+            raise ValueError(f"eta_nlos - eta_los must be at most {_MAX_LOSS_GAP_DB:g} dB, "
+                             f"got {self.eta_nlos - self.eta_los:g}")
         if not 0.0 <= self.e_r < 1.0:
             raise ValueError(f"antenna efficiency exponent must be in [0, 1), got {self.e_r}")
 

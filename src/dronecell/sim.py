@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import rate_derivatives, rate_function
-from .design import CellGeometry, solve_edge_angle
+from .design import solve_edge_angle
 from .params import ScenarioParams
 from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
@@ -52,11 +52,9 @@ class SimConfig:
     """One simulation campaign.
 
     lam is the mean number of active users per timeslot; fixed_n overrides
-    the Poisson draw with a constant count. d_max only sets the metric
-    scale: rates and travel distances depend on the cell proportions, not
-    its absolute size. A campaign has at most _MAX_USERS_PER_SLOT users per
-    slot and _MAX_USER_SAMPLES expected user samples in all, so that it
-    cannot exhaust memory.
+    the Poisson draw with a constant count. A campaign has at most
+    _MAX_USERS_PER_SLOT users per slot and _MAX_USER_SAMPLES expected user
+    samples in all, so that it cannot exhaust memory.
     """
 
     scenario: ScenarioParams
@@ -65,7 +63,6 @@ class SimConfig:
     n_timeslots: int = 100_000
     seed: int = 0
     strategies: tuple[Strategy, ...] = ALL_STRATEGIES
-    d_max: float = 500.0
 
     def __post_init__(self) -> None:
         strategies = tuple(Strategy(s) for s in self.strategies)
@@ -95,8 +92,6 @@ class SimConfig:
                              f"{_MAX_USER_SAMPLES:.0e}, got {self.n_timeslots * per_slot:.3g}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.d_max < math.inf:
-            raise ValueError(f"cell radius must be positive and finite, got {self.d_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +114,7 @@ class SummaryStats:
     """Result of a simulation campaign."""
 
     config: SimConfig
-    geometry: CellGeometry
+    theta_edge_deg: float
     n_timeslots: int
     n_users_total: int
     per_strategy: dict[Strategy, StrategyStats]
@@ -319,13 +314,13 @@ def sample_user_count(lam: float, seed: int, slots: np.ndarray) -> np.ndarray:
     return (_poisson_mult if lam < 10.0 else _poisson_ptrs)(lam, keys)
 
 
-def sample_users_uniform_disc(n: int, d_max: float, seed: int, slots: np.ndarray,
+def sample_users_uniform_disc(n: int, seed: int, slots: np.ndarray,
                               counts: np.ndarray) -> np.ndarray:
-    """n user positions uniform over the disc of radius d_max about the
-    origin, shape (n, 2): counts[i] of them, in slot order, for timeslot
-    slots[i]. A slot with m users takes their radii from the first m
-    uniforms of its stream Generator(Philox(SeedSequence(seed,
-    spawn_key=(t, 1)))) and their angles from the next m."""
+    """n user positions uniform over the unit disc about the origin, shape
+    (n, 2): counts[i] of them, in slot order, for timeslot slots[i]. A slot
+    with m users takes their radii from the first m uniforms of its stream
+    Generator(Philox(SeedSequence(seed, spawn_key=(t, 1)))) and their
+    angles from the next m."""
     counts = np.asarray(counts, np.int64)
     if n != counts.sum() or np.any(counts < 0) or np.shape(slots) != counts.shape:
         raise ValueError(f"need one non-negative user count per slot, summing to n = {n}")
@@ -336,14 +331,14 @@ def sample_users_uniform_disc(n: int, d_max: float, seed: int, slots: np.ndarray
     u = _philox_uniforms(keys[:, np.repeat(np.arange(len(counts)), n_blocks)], counter).ravel()
     # a slot's user j takes word j of the slot for its radius, word m + j for its angle
     r_word = np.arange(n) + np.repeat(4 * first_block - (np.cumsum(counts) - counts), counts)
-    r = d_max * np.sqrt(u[r_word])
+    r = np.sqrt(u[r_word])
     phi = 2.0 * math.pi * u[r_word + np.repeat(counts, counts)]
     return np.stack([0.0 + r * np.cos(phi), 0.0 + r * np.sin(phi)], axis=1)
 
 
 def _sample_slots(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """User counts of timeslots [start, stop) and their users in slot
-    order in the normalized frame, (U, 2). Positions are drawn for runs of
+    order in the unit disc, (U, 2). Positions are drawn for runs of
     whole slots of at most _SAMPLE_BLOCK_USERS users (or one slot), so
     the working set does not grow with lambda."""
     slots = np.arange(start, stop)
@@ -359,7 +354,7 @@ def _sample_slots(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray,
         hi = max(lo + 1, int(np.searchsorted(ends, first + _SAMPLE_BLOCK_USERS, side="right")))
         last = int(ends[hi - 1])
         users[first:last] = sample_users_uniform_disc(
-            last - first, config.d_max, config.seed, slots[lo:hi], counts[lo:hi]) / config.d_max
+            last - first, config.seed, slots[lo:hi], counts[lo:hi])
         lo = hi
     return counts, users
 
@@ -446,7 +441,6 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     theta = solve_edge_angle(config.scenario)
-    geometry = CellGeometry.from_edge_angle(theta, config.d_max)
     rate = rate_function(theta, config.scenario)
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
@@ -472,7 +466,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
         travel = np.hypot(pos[:, 0] - prev[:, 0], pos[:, 1] - prev[:, 1])
         per_strategy[s] = _strategy_stats(s, rates, kappas, travel)
 
-    return SummaryStats(config=config, geometry=geometry,
+    return SummaryStats(config=config, theta_edge_deg=theta,
                         n_timeslots=config.n_timeslots,
                         n_users_total=n_users_total,
                         per_strategy=per_strategy)

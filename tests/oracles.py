@@ -161,8 +161,8 @@ def brute_force_mec(points):
     return np.array([best[0], best[1]]), best[2]
 
 
-def slot_users(seed, timeslot, lam, fixed_n=None, d_max=500.0):
-    """One timeslot's users in the normalized frame, (n, 2), drawn by numpy
+def slot_users(seed, timeslot, lam, fixed_n=None):
+    """One timeslot's users in the unit disc, (n, 2), drawn by numpy
     itself, one generator per stream: the count is Poisson(lam) (or fixed_n)
     from the stream with spawn key (timeslot, 0); the radii take the first n
     uniforms of the stream with spawn key (timeslot, 1), the angles the
@@ -173,9 +173,9 @@ def slot_users(seed, timeslot, lam, fixed_n=None, d_max=500.0):
 
     n = fixed_n if fixed_n is not None else int(stream(0).poisson(lam))
     rng = stream(1)
-    r = d_max * np.sqrt(rng.random(n))
+    r = np.sqrt(rng.random(n))
     phi = 2.0 * math.pi * rng.random(n)
-    return np.stack([0.0 + r * np.cos(phi), 0.0 + r * np.sin(phi)], axis=1) / d_max
+    return np.stack([0.0 + r * np.cos(phi), 0.0 + r * np.sin(phi)], axis=1)
 
 
 def grid_search_aggregate(users_norm, theta_edge_deg, p, n_grid=2001):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
@@ -104,6 +105,8 @@ class TestSimulate:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["cell"]["theta_edge_deg"] == pytest.approx(48.90218207417125,
                                                                   abs=1e-9)
+        assert set(summary["cell"]) == {"theta_edge_deg", "altitude_over_dmax", "e_r",
+                                        "max_rate_at_kappa0"}
         for s in ("static", "sbc", "mar", "cmp"):
             block = summary["strategies"][s]
             assert set(block) == {"mean_rate", "p5_rate", "frac_rate_above_1",
@@ -314,6 +317,31 @@ class TestErrors:
         assert rc == 2
         assert "typo_key" in capsys.readouterr().err
 
+    def test_cell_radius_is_not_an_input(self, tmp_path, capsys):
+        # every output is in units of the cell radius, so no radius is taken
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dmax": 500}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: dmax\n"
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dmax", "500", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["design", "--scenario-a", "80", "--scenario-b", "20", "--eta-nlos", "1.5",
+         "--er-min", "0.6", "--er-max", "0.6"],
+        ["simulate", "--scenario-a", "80", "--scenario-b", "20", "--eta-nlos", "1.001",
+         "--timeslots", "10"],
+        ["simulate", "--scenario-b", "80", "--timeslots", "10"],
+        ["design", "--eta-nlos", "1e300"]])
+    def test_scenario_that_would_overflow(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_timeslots(self, tmp_path, capsys):
         rc = main(["simulate", "--timeslots", "0", "--out", str(tmp_path)])
         assert rc == 2
@@ -331,8 +359,7 @@ class TestErrors:
         ("--eta-los", "nan", "eta_los must be finite, got nan"),
         ("--eta-nlos", "inf", "eta_nlos must be finite, got inf"),
         ("--freq-hz", "inf", "freq_hz must be finite, got inf"),
-        ("--lambda", "inf", "lambda must be finite, got inf"),
-        ("--dmax", "inf", "cell radius must be positive and finite, got inf")])
+        ("--lambda", "inf", "lambda must be finite, got inf")])
     def test_non_finite_input(self, tmp_path, capsys, flag, value, message):
         rc = main(["simulate", flag, value, "--timeslots", "10",
                    "--out", str(tmp_path)])
@@ -375,7 +402,6 @@ class TestErrors:
         ("simulate", "seed", True, "an integer"),
         ("simulate", "fixed_n", 3.0, "an integer or null"),
         ("simulate", "lambda", None, "a number"),
-        ("simulate", "dmax", "500", "a number"),
         ("design", "er_step", None, "a number")])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, key, value, want):
         cfg = tmp_path / "cfg.json"
@@ -414,6 +440,18 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "design" in proc.stdout and "simulate" in proc.stdout
+
+
+@pytest.mark.parametrize("scenario", [[], ["--scenario-a", "30", "--scenario-b", "10",
+                                            "--eta-nlos", "1001"]])
+def test_commands_raise_no_warning(tmp_path, scenario):
+    # the urban default, and constants at the bounds of ScenarioParams
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(dronecell.__file__).parents[1])}
+    for command in (["design"], ["gain"], ["simulate", "--timeslots", "200"]):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "dronecell.cli", *command,
+                               *scenario, "--out", str(tmp_path / command[0])],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
 
 
 @pytest.mark.skipif(shutil.which("dronecell") is None,

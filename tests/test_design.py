@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dronecell import (URBAN, CellGeometry, NearDegenerateWarning, NoOptimumError,
-                       edge_angle_objective, ideal_directivity, log_dmax_offset,
-                       solve_edge_angle)
+from dronecell import (URBAN, NearDegenerateWarning, NoOptimumError, edge_angle_objective,
+                       ideal_directivity, log_dmax_offset, solve_edge_angle)
 from dronecell import design
+from dronecell.channel import rate_derivatives, rate_function
 from dronecell.params import ScenarioParams
 
 import oracles
@@ -202,24 +202,42 @@ class TestSolveEdgeAngles:
             design.solve_edge_angles(URBAN, ers)
 
 
-class TestGeometry:
-    def test_forty_five_degrees(self):
-        g = CellGeometry.from_edge_angle(45.0, 320.0)
-        assert g.altitude == pytest.approx(320.0, rel=1e-12)
+# Al-Hourani et al.'s s-curve constants and excess losses: suburban, urban,
+# dense urban, highrise urban
+AL_HOURANI = [(4.88, 0.43, 0.1, 21.0), (9.61, 0.16, 1.0, 20.0),
+              (12.08, 0.11, 1.6, 23.0), (27.23, 0.08, 2.3, 34.0)]
 
-    def test_urban_composition(self):
-        theta = solve_edge_angle(URBAN)
-        g = CellGeometry.from_edge_angle(theta, 500.0)
-        assert g.theta_edge_deg == theta
-        assert g.altitude == pytest.approx(500.0 * math.tan(math.radians(theta)), rel=1e-12)
+# accepted constants at or near the bounds of ScenarioParams, at e_r = 0.6
+# and eta_los = 1: (a, b, eta_nlos)
+NEAR_BOUND = [(30.0, 10.0, 1001.0), (17.32, 17.32, 1001.0), (1e4, 0.03, 1001.0),
+              (0.03, 1e4, 1001.0), (60.0, 5.0, 20.0), (1.0, 300.0, 20.0)]
 
-    def test_radius_scaling(self):
-        theta = solve_edge_angle(URBAN)
-        g1 = CellGeometry.from_edge_angle(theta, 250.0)
-        g2 = CellGeometry.from_edge_angle(theta, 500.0)
-        assert g2.theta_edge_deg == g1.theta_edge_deg
-        assert g2.altitude == pytest.approx(2.0 * g1.altitude, rel=1e-12)
 
-    def test_rejects_nonpositive_radius(self):
+class TestScenarioBounds:
+    @pytest.mark.parametrize("a, b, eta_los, eta_nlos", AL_HOURANI)
+    def test_accepts_the_measured_environments(self, a, b, eta_los, eta_nlos):
+        ScenarioParams(a=a, b=b, eta_los=eta_los, eta_nlos=eta_nlos, freq_hz=2e9)
+
+    def test_accepts_every_random_scenario(self):
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            oracles.random_scenario(rng)
+
+    @pytest.mark.parametrize("a, b, eta_nlos", [
+        (2e4, 0.01, 20.0), (0.01, 2e4, 20.0), (30.0, 10.001, 20.0), (9.61, 0.16, 1001.5)])
+    def test_rejects_constants_beyond_the_bounds(self, a, b, eta_nlos):
         with pytest.raises(ValueError):
-            CellGeometry.from_edge_angle(45.0, 0.0)
+            ScenarioParams(a=a, b=b, eta_los=1.0, eta_nlos=eta_nlos, freq_hz=2e9)
+
+    @pytest.mark.parametrize("a, b, eta_nlos", NEAR_BOUND)
+    def test_no_overflow_near_the_bounds(self, a, b, eta_nlos):
+        p = ScenarioParams(a=a, b=b, eta_los=1.0, eta_nlos=eta_nlos, freq_hz=2e9, e_r=0.6)
+        thetas = np.concatenate([np.arange(0.5, 89.625, 0.25), np.linspace(1e-9, 89.9, 1001)])
+        kappas = np.linspace(0.0, 2.0, 2001)
+        with np.errstate(over="raise", invalid="raise"):
+            design._residual(thetas, p, p.e_r)
+            theta = solve_edge_angle(p)
+            for edge in (0.5, theta, 89.5):
+                rate_function(edge, p)(kappas)
+                rate_derivatives(edge, p)(kappas)
+        assert abs(theta - oracles.theta_star_grid(p)) <= 2e-3

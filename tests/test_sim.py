@@ -64,27 +64,27 @@ class TestSampling:
     def test_uniform_disc_moments(self):
         per_slot = np.full(100, 1000)
         pts = draws_in_pieces(lambda slots: sample_users_uniform_disc(
-            100_000, 500.0, 2, slots, per_slot), 1000, piece=100)
+            100_000, 2, slots, per_slot), 1000, piece=100)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        assert len(pts) == 1_000_000 and np.all(r <= 500.0)
-        assert r.mean() == pytest.approx(2.0 / 3.0 * 500.0, rel=0.001)
-        assert np.mean(r < 250.0) == pytest.approx(0.25, abs=0.005)
+        assert len(pts) == 1_000_000 and np.all(r <= 1.0)
+        assert r.mean() == pytest.approx(2.0 / 3.0, rel=0.001)
+        assert np.mean(r < 0.5) == pytest.approx(0.25, abs=0.005)
 
     def test_uniform_disc_empty(self):
-        pts = sample_users_uniform_disc(0, 500.0, 2, np.array([1]), np.array([0]))
+        pts = sample_users_uniform_disc(0, 2, np.array([1]), np.array([0]))
         assert pts.shape == (0, 2)
 
     @pytest.mark.parametrize("slots, counts", [([1, 2], [1, 1]), ([1, 2], [4, -1]), ([1], [1, 2])])
     def test_uniform_disc_rejects_counts_that_miss_n(self, slots, counts):
         with pytest.raises(ValueError):
-            sample_users_uniform_disc(3, 500.0, 2, np.array(slots), np.array(counts))
+            sample_users_uniform_disc(3, 2, np.array(slots), np.array(counts))
 
     @pytest.mark.parametrize("seed, slot", [(-1, 0), (1.5, 0), (True, 0), (0, -1)])
     def test_streams_reject_a_bad_seed_or_slot(self, seed, slot):
         with pytest.raises(ValueError):
             sample_user_count(5.0, seed, np.array([slot]))
         with pytest.raises(ValueError):
-            sample_users_uniform_disc(1, 500.0, seed, np.array([slot]), np.array([1]))
+            sample_users_uniform_disc(1, seed, np.array([slot]), np.array([1]))
 
     def test_slot_streams_are_reproducible(self):
         cfg = SimConfig(scenario=URBAN, lam=4.0, n_timeslots=10, seed=9)
