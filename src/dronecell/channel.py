@@ -14,6 +14,10 @@ import numpy as np
 
 from .params import SPEED_OF_LIGHT, ScenarioParams
 
+# edge angles from this one (degrees) up are rejected: nearer 90, 1 - sin(theta)
+# rounds to 0 and the directivity and the radius terms become infinite
+_MAX_EDGE_DEG = 90.0 - 1e-6
+
 
 def _scalar_like(out, ref):
     return float(out) if np.ndim(ref) == 0 else out
@@ -49,7 +53,7 @@ def g_pos(kappa, theta_edge_deg: float, params: ScenarioParams):
     k = np.asarray(kappa, dtype=float)
     if np.any(k < 0.0):
         raise ValueError("kappa must be non-negative")
-    _check_edge_angle(theta_edge_deg)
+    _check_edge_angles(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
     return _scalar_like(_g(k, t, params), kappa)
 
@@ -75,7 +79,7 @@ def expected_path_loss_db(kappa, theta_edge_deg: float, d_max: float,
     """
     if not d_max > 0.0:
         raise ValueError(f"cell radius must be positive, got {d_max}")
-    _check_edge_angle(theta_edge_deg)
+    _check_edge_angles(theta_edge_deg)
     t = math.radians(theta_edge_deg)
     directivity_db = params.e_r * 10.0 * math.log10(2.0 / (1.0 - math.sin(t)))
     g = g_pos(kappa, theta_edge_deg, params)
@@ -90,7 +94,7 @@ def rate_function(theta_edge_deg: float, params: ScenarioParams):
     range checking; it is the hot kernel shared by the placement
     optimizers and the simulator.
     """
-    _check_edge_angle(theta_edge_deg)
+    _check_edge_angles(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
     g_edge = float(_g(np.float64(1.0), t, params))
 
@@ -110,7 +114,7 @@ def rate_derivatives(theta_edge_deg: float, params: ScenarioParams):
     where g', g'' follow from dP/dtheta = b P(1-P) and
     dtheta/dkappa = -(180/pi) t/(kappa^2 + t^2).
     """
-    _check_edge_angle(theta_edge_deg)
+    _check_edge_angles(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
     g_edge = float(_g(np.float64(1.0), t, params))
     c = math.log(10.0) / 10.0
@@ -149,6 +153,12 @@ def user_rate(kappa, theta_edge_deg: float, params: ScenarioParams):
     return _scalar_like(rate_function(theta_edge_deg, params)(k), kappa)
 
 
-def _check_edge_angle(theta_edge_deg: float) -> None:
-    if not 0.0 < theta_edge_deg < 90.0:
-        raise ValueError(f"edge elevation angle must lie in (0, 90) degrees, got {theta_edge_deg}")
+def _check_edge_angles(theta_deg, zero_ok: bool = False) -> np.ndarray:
+    """theta_deg as a float array whose every angle lies in (0,
+    _MAX_EDGE_DEG) degrees, or in [0, _MAX_EDGE_DEG) with zero_ok."""
+    th = np.asarray(theta_deg, dtype=float)
+    bad = th[~(((th >= 0.0) if zero_ok else (th > 0.0)) & (th < _MAX_EDGE_DEG))]
+    if bad.size:
+        raise ValueError(f"edge angle must lie in {'[' if zero_ok else '('}0, 90) degrees "
+                         f"and away from 90, got {bad[0]}")
+    return th

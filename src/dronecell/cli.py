@@ -25,7 +25,7 @@ from .channel import rate_function, user_rate
 from .design import NoOptimumError, ideal_directivity, solve_edge_angles
 from .params import ScenarioParams
 from .placement import Strategy
-from .sim import SimConfig, run_simulation
+from .sim import SimConfig, chunk_pool, run_simulation
 
 _DEFAULTS = {
     "a": 9.61,
@@ -49,8 +49,8 @@ _DEFAULTS = {
 _MAX_SWEEP_ROWS = 10**6
 
 # CDF rows formatted and written per block: enough to amortise the per-block
-# numpy calls, few enough that the text of one block stays a few hundred kB
-_CDF_BLOCK_ROWS = 4096
+# numpy calls, few enough that the text of one block stays near 100 kB
+_CDF_BLOCK_ROWS = 1024
 
 # bytes per read when hashing an emitted file
 _DIGEST_READ_BYTES = 1 << 20
@@ -176,21 +176,21 @@ def _er_sweep(cfg: dict) -> list[float]:
 
 
 class _OutputSet:
-    """Tracks emitted files so a failed run leaves nothing behind."""
+    """Tracks the files a run creates so a failed run leaves nothing behind."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
 
-    def open_csv(self, name: str):
+    def create(self, name: str) -> Path:
+        """Create the file name (empty) and track it; written by the caller."""
         path = self.out_dir / name
+        path.open("w").close()
         self.paths.append(path)
         return path
 
     def write_json(self, name: str, payload: dict) -> None:
-        path = self.out_dir / name
-        self.paths.append(path)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.create(name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def cleanup(self) -> None:
         for p in self.paths:
@@ -242,7 +242,7 @@ def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     base = _scenario(cfg)
     ers = _er_sweep(cfg)
     sweep = solve_edge_angles(base, ers)
-    with out.open_csv(f"{command}.csv").open("w", newline="") as fh:
+    with out.create(f"{command}.csv").open("w", newline="") as fh:
         fh.write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
         for er, theta, status in zip(ers, sweep.theta.tolist(), sweep.status):
             if status == "no_optimum":
@@ -268,13 +268,19 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
         strategies=_parse_strategies(cfg["strategies"]),
     )
     workers = int(cfg["workers"])
-    stats = run_simulation(sim_config, workers=workers)
-
-    per = [stats.per_strategy[s] for s in sim_config.strategies]
-    _write_cdfs([out.open_csv(f"rate_cdf_{s.value}.csv") for s in sim_config.strategies],
-                "rate_bits_per_symbol", [st.rate_samples for st in per])
-    _write_cdfs([out.open_csv(f"travel_cdf_{s.value}.csv") for s in sim_config.strategies],
-                "distance_over_dmax", [st.travel_samples for st in per])
+    with chunk_pool(sim_config, workers) as pool:
+        stats = run_simulation(sim_config, workers, pool)
+        jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
+                 getattr(stats.per_strategy[s], attr))
+                for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
+        if pool is None or len(sim_config.strategies) < 2:
+            _write_cdf_jobs(jobs)
+        else:
+            # a pool process writes one half of the rows while this one writes the other
+            remote, local = _split_rows(jobs)
+            pending = pool.submit(_write_cdf_jobs, remote)
+            _write_cdf_jobs(local)
+            pending.result()
 
     theta = stats.theta_edge_deg
     summary = {
@@ -316,6 +322,31 @@ def _csv_line(cells) -> str:
     # the CSV dialect of every output file: "," between cells, "\r\n" after
     # the row, cells as str(); no cell we write needs quoting
     return ",".join(map(str, cells)) + "\r\n"
+
+
+# the CDF files of each strategy: file name prefix, value column, StrategyStats field
+_CDF_KINDS = (("rate", "rate_bits_per_symbol", "rate_samples"),
+              ("travel", "distance_over_dmax", "travel_samples"))
+
+
+def _split_rows(jobs: list) -> tuple[list, list]:
+    """CDF jobs (path, value column, samples) in two halves of near-equal
+    rows: the longest job first, each to the half with fewer rows so far."""
+    halves, rows = ([], []), [0, 0]
+    for job in sorted(jobs, key=lambda job: -len(job[2])):
+        i = int(rows[1] < rows[0])
+        halves[i].append(job)
+        rows[i] += len(job[2])
+    return halves
+
+
+def _write_cdf_jobs(jobs: list) -> None:
+    """Write CDF jobs (path, value column, samples): the files of one value
+    column together, through one _write_cdfs."""
+    for _, column, _ in _CDF_KINDS:
+        group = [job for job in jobs if job[1] == column]
+        if group:
+            _write_cdfs([job[0] for job in group], column, [job[2] for job in group])
 
 
 def _write_cdfs(paths: list[Path], value_column: str, sample_sets: list[np.ndarray]) -> None:

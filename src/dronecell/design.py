@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import p_los, user_rate
+from .channel import _check_edge_angles, p_los, user_rate
 from .params import ScenarioParams
 
 _LN10 = math.log(10.0)
@@ -48,9 +48,7 @@ def ideal_directivity(theta_edge_deg: float) -> float:
     Equals 4*pi over the solid angle of the cone with half apex angle
     90 - theta_edge; a hemispheric beam (theta_edge = 0) gives 2.
     """
-    if not 0.0 <= theta_edge_deg < 90.0 - 1e-6:
-        raise ValueError(
-            f"edge angle must lie in [0, 90) degrees and away from 90, got {theta_edge_deg}")
+    _check_edge_angles(theta_edge_deg, zero_ok=True)
     return 2.0 / (1.0 - math.sin(math.radians(theta_edge_deg)))
 
 
@@ -60,9 +58,7 @@ def log_dmax_offset(theta_deg, params: ScenarioParams):
 
     Used to rank stationary points of the edge-angle objective.
     """
-    th = np.asarray(theta_deg, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= 90.0):
-        raise ValueError("edge angle must lie in (0, 90) degrees")
+    th = _check_edge_angles(theta_deg)
     rad = np.radians(th)
     out = -(params.eta_los - params.eta_nlos) * p_los(th, params) \
         + 20.0 * np.log10(np.cos(rad)) \
@@ -79,9 +75,7 @@ def edge_angle_objective(theta_deg, params: ScenarioParams):
     below. Depends only on the terrain constants, the excess-loss gap and
     the antenna efficiency exponent, never on frequency or cell size.
     """
-    th = np.asarray(theta_deg, dtype=float)
-    if np.any(th <= 0.0) or np.any(th >= 90.0):
-        raise ValueError("edge angle must lie in (0, 90) degrees")
+    th = _check_edge_angles(theta_deg)
     out = _residual(th, params, params.e_r)
     return float(out) if np.ndim(theta_deg) == 0 else out
 

@@ -26,6 +26,7 @@ _MAX_ITER = 100        # MAR ascent iteration cap
 _XTOL = 1e-10          # MAR step length below which an instance has converged
 _CONE_EPS = 1e-12      # a user this close sits under the iterate, on its cone
 _SNAP_RADIUS = 1e-3    # reach of the move onto a strictly better user
+_MEET_RADIUS = 1e-2    # a start this close to an earlier start of its instance retires
 _ASCENT_BLOCK = 16384  # MAR starts x users, or SBC points, per block; bounds the working set
 
 
@@ -239,7 +240,7 @@ def _solve_block(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.nd
     ], axis=1)  # (B, S, 2)
     s = starts.shape[1]
     finals = _newton_ascent(starts.reshape(-1, 2), np.repeat(users, s, axis=0),
-                            rate, rate_terms)
+                            rate, rate_terms, starts=s)
     # project onto the closed cell disc (a projection never lowers the
     # objective: users live inside the disc)
     finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]
@@ -252,9 +253,11 @@ def _solve_block(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.nd
     return finals[rows, pick], values[rows, pick]
 
 
-def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms) -> np.ndarray:
+def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
+                   starts: int = 1) -> np.ndarray:
     """Damped-Newton ascent of sum_i r(k_i), k_i = |x - u_i|, from starts
-    x0 (M, 2) against users (M, N, 2).
+    x0 (M, 2) against users (M, N, 2), whose rows hold consecutive
+    instances of `starts` starts each.
 
     The step is Newton's where the Hessian is negative definite, else the
     Weiszfeld step (the gradient over sum_i -r'(k_i)/k_i), halved until the
@@ -264,10 +267,13 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms) -> np.nd
     test), else steps off along that pull. An accepted point close to a
     strictly better user moves onto it, so a cone maximum is reached
     exactly. Converged instances freeze, so no instance depends on the
-    others.
+    others. A start that moves to within _MEET_RADIUS of an earlier start
+    of its instance that has not retired retires where it is: it would
+    climb the same hill, and the earlier start carries on.
     """
     x = x0.copy()
     active = np.arange(x.shape[0])
+    live = np.ones(x.shape[0], dtype=bool)  # not retired
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
@@ -308,7 +314,21 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms) -> np.nd
             todo = todo[~ok]
             t *= 0.5
         active = active[moved]
+        if starts > 1:
+            active = _retire_met(x, active, live, starts)
     return x
+
+
+def _retire_met(x: np.ndarray, active: np.ndarray, live: np.ndarray, starts: int) -> np.ndarray:
+    """The active starts (rows of x, `starts` per instance) that stay: those
+    not within _MEET_RADIUS of a live earlier start of their instance. The
+    others are marked not live."""
+    z = x.view(complex)[:, 0]  # x[:, 0] + 1j x[:, 1], no copy
+    rows = (active - active % starts)[:, None] + np.arange(starts)  # (K, S): the instance
+    met = ((np.abs(z[rows] - z[active, None]) <= _MEET_RADIUS) & live[rows]
+           & (rows < active[:, None])).any(axis=1)
+    live[active[met]] = False
+    return active[~met]
 
 
 def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, rate) -> np.ndarray:

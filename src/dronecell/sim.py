@@ -17,6 +17,7 @@ range.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
 _CHUNK_SLOTS = 4096
 _MAX_USERS_PER_SLOT = 1000    # bound on lam and fixed_n
-_MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots x users per slot
+_MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots, and on n_timeslots x users per slot
+_MAX_WORKERS = 64               # bound on the worker processes of a run
 _DRAW_COUNT = 0
 _DRAW_POSITION = 1
 _SAMPLE_BLOCK_USERS = 1 << 16  # users whose positions are drawn at once
@@ -53,8 +55,9 @@ class SimConfig:
 
     lam is the mean number of active users per timeslot; fixed_n overrides
     the Poisson draw with a constant count. A campaign has at most
-    _MAX_USERS_PER_SLOT users per slot and _MAX_USER_SAMPLES expected user
-    samples in all, so that it cannot exhaust memory.
+    _MAX_USERS_PER_SLOT users per slot, and at most _MAX_USER_SAMPLES
+    timeslots and expected user samples in all, so that it cannot exhaust
+    memory.
     """
 
     scenario: ScenarioParams
@@ -90,6 +93,9 @@ class SimConfig:
         if self.n_timeslots * per_slot > _MAX_USER_SAMPLES:
             raise ValueError(f"n_timeslots x users per slot must be at most "
                              f"{_MAX_USER_SAMPLES:.0e}, got {self.n_timeslots * per_slot:.3g}")
+        if self.n_timeslots > _MAX_USER_SAMPLES:  # reachable at lambda < 1
+            raise ValueError(f"n_timeslots must be at most {_MAX_USER_SAMPLES:.0e}, "
+                             f"got {self.n_timeslots}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -432,23 +438,45 @@ def _strategy_stats(strategy: Strategy, rates: np.ndarray, kappas: np.ndarray,
     )
 
 
-def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {_MAX_WORKERS}], got {workers}")
+
+
+@contextlib.contextmanager
+def chunk_pool(config: SimConfig, workers: int):
+    """The process pool that run_simulation(config, workers, pool) runs its
+    chunks on, of min(workers, chunks) processes, open for the with block;
+    None for one worker. Its processes start at the first task."""
+    _check_workers(workers)
+    if workers == 1:
+        yield None
+        return
+    chunks = -(-config.n_timeslots // _CHUNK_SLOTS)
+    with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+        yield pool
+
+
+def run_simulation(config: SimConfig, workers: int = 1,
+                   pool: Optional[ProcessPoolExecutor] = None) -> SummaryStats:
     """Run the campaign and pool the statistics.
 
-    Identical config and seed give bit-identical results for any worker
-    count.
+    A run of more than one chunk runs them on pool, when given (see
+    chunk_pool), else on a pool of its own for workers > 1. Identical
+    config and seed give bit-identical results for any worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     theta = solve_edge_angle(config.scenario)
     rate = rate_function(theta, config.scenario)
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
     tasks = [(config, theta, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    if workers == 1 or len(tasks) == 1:
+    if len(tasks) == 1 or (pool is None and workers == 1):
         chunks = [_run_chunk(*t) for t in tasks]
+    elif pool is not None:
+        chunks = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with chunk_pool(config, workers) as pool:
             chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
     counts = np.concatenate([c["counts"] for c in chunks])

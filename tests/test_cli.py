@@ -1,14 +1,17 @@
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 import dronecell
 from dronecell import URBAN, SimConfig, run_simulation
 from dronecell import cli
+from dronecell import sim
 from dronecell.cli import _resolve_config, build_parser, main
 
 DESIGN_HEADER = ["e_r", "theta_edge_deg", "ideal_directivity_db",
@@ -131,12 +135,43 @@ class TestSimulate:
                          "--seed", "42", "--out", str(out)]) == 0
         assert digests(a) == digests(b)
 
-    def test_workers_do_not_change_outputs(self, tmp_path):
+    @pytest.mark.parametrize("strategies", ["mar", "static,cmp", "sbc,mar,cmp",
+                                            "static,sbc,mar,cmp"])
+    def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch, strategies):
+        # 400 slots in 4 chunks, so --workers 2 runs them on a real pool, and
+        # with 2 or more strategies a pool process writes part of the CDFs
+        submitted = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                submitted.extend([fn.__name__] * len(tasks))
+                return super().map(fn, *zip(*tasks))
+
+            def submit(self, fn, *args, **kwargs):
+                if not isinstance(fn, functools.partial):  # map's own submits
+                    submitted.append(fn.__name__)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 100)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
         a, b = tmp_path / "w1", tmp_path / "w2"
-        common = ["simulate", "--lambda", "3", "--timeslots", "400", "--seed", "6"]
+        common = ["simulate", "--lambda", "3", "--timeslots", "400", "--seed", "6",
+                  "--strategies", strategies]
         assert main(common + ["--workers", "1", "--out", str(a)]) == 0
+        assert submitted == []
         assert main(common + ["--workers", "2", "--out", str(b)]) == 0
-        assert digests(a) == digests(b)
+        n = strategies.count(",") + 1
+        assert submitted == ["_run_chunk"] * 4 + ["_write_cdf_jobs"] * (n > 1)
+        assert len(digests(a)) == 2 * n + 1 and digests(a) == digests(b)
+
+    def test_cdf_halves_balance_rows(self):
+        # three rate CDFs of 5 rows and three travel CDFs of 1: a split by
+        # strategy gives 12 rows against 6, the split by rows 10 against 8
+        jobs = [(i, "v", np.zeros(5 if i < 3 else 1)) for i in range(6)]
+        remote, local = cli._split_rows(jobs)
+        assert sorted(job[0] for job in remote + local) == list(range(6))
+        assert sorted(sum(len(job[2]) for job in half) for half in (remote, local)) == [8, 10]
 
     def test_single_user_slots_collapse_dynamic_strategies(self, tmp_path):
         assert main(["simulate", "--fixed-n", "1", "--timeslots", "200",
@@ -421,6 +456,47 @@ class TestErrors:
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
             "manifest.json", "rate_cdf_sbc.csv", "rate_cdf_static.csv", "summary.json",
             "travel_cdf_sbc.csv", "travel_cdf_static.csv"]
+
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "rate_cdf_mar.csv").mkdir()
+        rc = main(["simulate", "--timeslots", "100", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # what the run created is gone; what was there before stays
+        assert [p.name for p in tmp_path.iterdir()] == ["rate_cdf_mar.csv"]
+        assert (tmp_path / "rate_cdf_mar.csv").is_dir()
+
+    def test_write_error_in_a_pool_process(self, tmp_path, capsys, monkeypatch):
+        # forked after the patch, the pool process writes its half through it
+        parent, write = os.getpid(), cli._write_cdfs
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+        def failing_in_the_pool(paths, *args):
+            if os.getpid() != parent:
+                raise OSError("disk full")
+            write(paths, *args)
+
+        monkeypatch.setattr(cli, "_write_cdfs", failing_in_the_pool)
+        rc = main(["simulate", "--timeslots", "100", "--workers", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["0", str(sim._MAX_WORKERS + 1)])
+    def test_worker_count_out_of_bounds(self, tmp_path, capsys, monkeypatch, workers):
+        def no_pool(max_workers):
+            raise AssertionError("no process may start")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        rc = main(["simulate", "--timeslots", "10000", "--workers", workers,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: workers must be in [1, {sim._MAX_WORKERS}], got {workers}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),

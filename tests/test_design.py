@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dronecell import (URBAN, NearDegenerateWarning, NoOptimumError, edge_angle_objective,
                        ideal_directivity, log_dmax_offset, solve_edge_angle)
 from dronecell import design
-from dronecell.channel import rate_derivatives, rate_function
+from dronecell.channel import expected_path_loss_db, rate_derivatives, rate_function
 from dronecell.params import ScenarioParams
 
 import oracles
@@ -37,6 +38,26 @@ class TestIdealDirectivity:
     def test_rejects_degenerate_angles(self, theta):
         with pytest.raises(ValueError):
             ideal_directivity(theta)
+
+
+@pytest.mark.parametrize("fn", [
+    ideal_directivity,
+    lambda theta: edge_angle_objective(theta, URBAN),
+    lambda theta: log_dmax_offset(theta, URBAN),
+    lambda theta: expected_path_loss_db(0.5, theta, 100.0, URBAN),
+    lambda theta: rate_function(theta, URBAN)(0.5)],
+    ids=["ideal_directivity", "edge_angle_objective", "log_dmax_offset",
+         "expected_path_loss_db", "rate_function"])
+def test_one_domain_check_near_90_degrees(fn):
+    # 1 - sin(theta) rounds to 0 within about 1e-7 degrees of 90; every
+    # function of the edge angle rejects the angles from 90 - 1e-6 on
+    # instead of overflowing or dividing by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (90.0 - 1e-7, 90.0 - 1e-6, 90.0, math.nan):
+            with pytest.raises(ValueError, match="away from 90"):
+                fn(theta)
+        assert math.isfinite(fn(90.0 - 1.01e-6))
 
 
 class TestEdgeAngleObjective:

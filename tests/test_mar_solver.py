@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dronecell import URBAN, ScenarioParams, solve_edge_angle
+from dronecell import placement
 from dronecell.channel import rate_derivatives, rate_function
-from dronecell.placement import (_MAX_ITER, _POLAR_GRID, min_enclosing_circle,
-                                 solve_mar_batch)
+from dronecell.placement import (_MAX_ITER, _POLAR_GRID, _aggregate_rates, _newton_ascent,
+                                 min_enclosing_circle, solve_mar_batch)
 
 import mar_start_probe
 import oracles
@@ -142,6 +143,39 @@ def test_keeps_up_with_the_ascent_from_the_sbc_center():
             assert np.all(val >= ref[:, 0] * (1.0 - 1e-12))
             count += len(val)
     assert count == 4350
+
+
+def test_met_starts_retire_within_their_instance_only(monkeypatch):
+    users = np.array([[[-0.6, 0.1], [0.2, 0.5], [0.4, -0.7]]] * 2)
+    x0 = np.array([[0.9, 0.0], [0.9, 0.0]])
+    apart = _newton_ascent(x0, users, RATE, RATE_TERMS)  # two instances of 1 start
+    one = _newton_ascent(x0, users, RATE, RATE_TERMS, starts=2)
+    assert np.array_equal(apart[0], apart[1]) and np.array_equal(one[0], apart[0])
+    # the second start met the first after one step and stopped there
+    monkeypatch.setattr(placement, "_MAX_ITER", 1)
+    step = _newton_ascent(x0[:1], users[:1], RATE, RATE_TERMS)
+    assert np.array_equal(one[1], step[0]) and not np.array_equal(one[1], one[0])
+
+
+def test_retiring_met_starts_loses_nothing_on_engine_draws():
+    # the ascent from the same starts without retiring, on the probe's urban draws
+    terms_elems = [0, 0]
+
+    def counting(i):
+        def terms(kappa):
+            terms_elems[i] += kappa.size
+            return RATE_TERMS(kappa)
+        return terms
+
+    for users in mar_start_probe.blocks(URBAN.with_efficiency(0.6)):
+        _, val = solve_mar_batch(users, RATE, counting(0))
+        b, n, _ = users.shape
+        grid = _aggregate_rates(np.broadcast_to(_POLAR_GRID, (b, 64, 2)), users, RATE)
+        starts = np.concatenate([np.zeros((b, 1, 2)), users,
+                                 _POLAR_GRID[np.argmax(grid, axis=1)][:, None]], axis=1)
+        _, ref = mar_start_probe.refined(starts, users, RATE, counting(1))
+        assert np.all(val >= ref.max(axis=1) * (1.0 - 1e-12))
+    assert terms_elems[0] < 0.6 * terms_elems[1]
 
 
 # users inside the closed unit disc, with the points where a start sits

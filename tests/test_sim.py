@@ -144,6 +144,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(scenario=URBAN, seed=-1)
 
+    @pytest.mark.parametrize("lam", [1e-6, 1e-300])
+    def test_bounds_the_timeslots_on_their_own(self, lam):
+        # a tiny lambda keeps n_timeslots x lambda small; only constructed
+        SimConfig(scenario=URBAN, lam=lam, n_timeslots=sim._MAX_USER_SAMPLES)
+        with pytest.raises(ValueError, match="n_timeslots must be at most 5e[+]07"):
+            SimConfig(scenario=URBAN, lam=lam, n_timeslots=10**13)
+
 
 class TestEngine:
     def test_deterministic_across_workers(self):
@@ -234,9 +241,22 @@ class TestEngine:
         monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS,
                         seed=2, strategies=(Strategy.STATIC,))
-        stats = run_simulation(cfg, workers=100_000)
+        stats = run_simulation(cfg, workers=sim._MAX_WORKERS)
         assert sizes == [2]
         assert stats.n_timeslots == cfg.n_timeslots
+
+    @pytest.mark.parametrize("workers", [0, sim._MAX_WORKERS + 1, 10**9])
+    def test_rejects_a_worker_count_out_of_bounds(self, monkeypatch, workers):
+        def no_pool(max_workers):
+            raise AssertionError("no process may start")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS, seed=2)
+        with pytest.raises(ValueError, match=f"workers must be in \\[1, {sim._MAX_WORKERS}\\]"):
+            run_simulation(cfg, workers=workers)
+        with pytest.raises(ValueError, match="workers must be in"):
+            with sim.chunk_pool(cfg, workers):
+                pass
 
     def test_empty_slot_returns_to_center(self):
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=200, seed=5)
