@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -185,12 +186,13 @@ class _OutputSet:
     def create(self, name: str) -> Path:
         """Create the file name (empty) and track it; written by the caller."""
         path = self.out_dir / name
-        path.open("w").close()
+        _open_empty(path).close()
         self.paths.append(path)
         return path
 
     def write_json(self, name: str, payload: dict) -> None:
-        self.create(name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with _open_empty(self.create(name)) as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def cleanup(self) -> None:
         for p in self.paths:
@@ -210,6 +212,21 @@ class _OutputSet:
         if diagnostics is not None:
             payload["diagnostics"] = diagnostics
         self.write_json("manifest.json", payload)
+
+
+def _open_empty(path: Path):
+    """path opened for writing as an empty text file. A file that is empty
+    already is not truncated again: on ext4 a truncated file's blocks are
+    allocated when it is closed, so a run's outputs, created empty before
+    they are written, would each be flushed and later cost I/O to delete."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if os.fstat(fd).st_size:
+            os.ftruncate(fd, 0)
+        return open(fd, "w", newline="")
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def _sha256(path: Path) -> str:
@@ -242,7 +259,7 @@ def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     base = _scenario(cfg)
     ers = _er_sweep(cfg)
     sweep = solve_edge_angles(base, ers)
-    with out.create(f"{command}.csv").open("w", newline="") as fh:
+    with _open_empty(out.create(f"{command}.csv")) as fh:
         fh.write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
         for er, theta, status in zip(ers, sweep.theta.tolist(), sweep.status):
             if status == "no_optimum":
@@ -362,7 +379,7 @@ def _write_cdfs(paths: list[Path], value_column: str, sample_sets: list[np.ndarr
     if any(len(s) != n for s in sample_sets):
         raise ValueError("CDF sample sets written together must have one length")
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(p.open("w", newline="")) for p in paths]
+        files = [stack.enter_context(_open_empty(p)) for p in paths]
         header = _csv_line([value_column, "cdf"])
         for fh in files:
             fh.write(header)
