@@ -153,12 +153,17 @@ def user_rate(kappa, theta_edge_deg: float, params: ScenarioParams):
     return _scalar_like(rate_function(theta_edge_deg, params)(k), kappa)
 
 
-def _check_edge_angles(theta_deg, zero_ok: bool = False) -> np.ndarray:
-    """theta_deg as a float array whose every angle lies in (0,
-    _MAX_EDGE_DEG) degrees, or in [0, _MAX_EDGE_DEG) with zero_ok."""
-    th = np.asarray(theta_deg, dtype=float)
-    bad = th[~(((th >= 0.0) if zero_ok else (th > 0.0)) & (th < _MAX_EDGE_DEG))]
-    if bad.size:
+def _check_edge_angles(theta_deg, zero_ok: bool = False) -> None:
+    """Raise ValueError unless every angle of theta_deg (degrees, a float or
+    an array) lies in (0, _MAX_EDGE_DEG), or in [0, _MAX_EDGE_DEG) with
+    zero_ok. A float is compared without numpy: the scalar kernels check
+    their one angle on every call."""
+    if isinstance(theta_deg, (int, float)):
+        above = 0.0 <= theta_deg if zero_ok else 0.0 < theta_deg
+        bad = [] if above and theta_deg < _MAX_EDGE_DEG else [theta_deg]
+    else:
+        th = np.asarray(theta_deg, dtype=float)
+        bad = th[~(((th >= 0.0) if zero_ok else (th > 0.0)) & (th < _MAX_EDGE_DEG))]
+    if len(bad):
         raise ValueError(f"edge angle must lie in {'[' if zero_ok else '('}0, 90) degrees "
                          f"and away from 90, got {bad[0]}")
-    return th

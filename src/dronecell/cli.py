@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +25,7 @@ from .channel import rate_function, user_rate
 from .design import NoOptimumError, ideal_directivity, solve_edge_angles
 from .params import ScenarioParams
 from .placement import Strategy
-from .sim import SimConfig, chunk_pool, run_simulation
+from .sim import SimConfig, _check_workers, chunk_pool, run_simulation
 
 _DEFAULTS = {
     "a": 9.61,
@@ -123,6 +122,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, dest, None)
         if val is not None:
             cfg[key] = val
+    _check_workers(cfg["workers"])
     return cfg
 
 
@@ -184,14 +184,16 @@ class _OutputSet:
         self.paths: list[Path] = []
 
     def create(self, name: str) -> Path:
-        """Create the file name (empty) and track it; written by the caller."""
+        """Create the file name (empty) and track it. The caller writes it in
+        append mode: a second truncation would make ext4 flush the file's
+        blocks when it is closed."""
         path = self.out_dir / name
-        _open_empty(path).close()
+        path.open("w", newline="").close()
         self.paths.append(path)
         return path
 
     def write_json(self, name: str, payload: dict) -> None:
-        with _open_empty(self.create(name)) as fh:
+        with self.create(name).open("a", newline="") as fh:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def cleanup(self) -> None:
@@ -212,21 +214,6 @@ class _OutputSet:
         if diagnostics is not None:
             payload["diagnostics"] = diagnostics
         self.write_json("manifest.json", payload)
-
-
-def _open_empty(path: Path):
-    """path opened for writing as an empty text file. A file that is empty
-    already is not truncated again: on ext4 a truncated file's blocks are
-    allocated when it is closed, so a run's outputs, created empty before
-    they are written, would each be flushed and later cost I/O to delete."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        if os.fstat(fd).st_size:
-            os.ftruncate(fd, 0)
-        return open(fd, "w", newline="")
-    except BaseException:
-        os.close(fd)
-        raise
 
 
 def _sha256(path: Path) -> str:
@@ -259,7 +246,7 @@ def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     base = _scenario(cfg)
     ers = _er_sweep(cfg)
     sweep = solve_edge_angles(base, ers)
-    with _open_empty(out.create(f"{command}.csv")) as fh:
+    with out.create(f"{command}.csv").open("a", newline="") as fh:
         fh.write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
         for er, theta, status in zip(ers, sweep.theta.tolist(), sweep.status):
             if status == "no_optimum":
@@ -368,7 +355,8 @@ def _write_cdf_jobs(jobs: list) -> None:
 
 def _write_cdfs(paths: list[Path], value_column: str, sample_sets: list[np.ndarray]) -> None:
     """Write one empirical CDF per sorted sample set: a header, then a
-    "value,cdf" row per sample whose cdf is its rank over n.
+    "value,cdf" row per sample whose cdf is its rank over n, appended to
+    the empty files paths (see _OutputSet.create).
 
     The sets have one length n, so the files are written in lockstep, a
     block of rows at a time, and each block's cdf text is formatted once
@@ -379,7 +367,7 @@ def _write_cdfs(paths: list[Path], value_column: str, sample_sets: list[np.ndarr
     if any(len(s) != n for s in sample_sets):
         raise ValueError("CDF sample sets written together must have one length")
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(_open_empty(p)) for p in paths]
+        files = [stack.enter_context(p.open("a", newline="")) for p in paths]
         header = _csv_line([value_column, "cdf"])
         for fh in files:
             fh.write(header)

@@ -58,7 +58,8 @@ def log_dmax_offset(theta_deg, params: ScenarioParams):
 
     Used to rank stationary points of the edge-angle objective.
     """
-    th = _check_edge_angles(theta_deg)
+    th = np.asarray(theta_deg, dtype=float)
+    _check_edge_angles(th)
     rad = np.radians(th)
     out = -(params.eta_los - params.eta_nlos) * p_los(th, params) \
         + 20.0 * np.log10(np.cos(rad)) \
@@ -75,7 +76,8 @@ def edge_angle_objective(theta_deg, params: ScenarioParams):
     below. Depends only on the terrain constants, the excess-loss gap and
     the antenna efficiency exponent, never on frequency or cell size.
     """
-    th = _check_edge_angles(theta_deg)
+    th = np.asarray(theta_deg, dtype=float)
+    _check_edge_angles(th)
     out = _residual(th, params, params.e_r)
     return float(out) if np.ndim(theta_deg) == 0 else out
 

@@ -447,12 +447,13 @@ def _check_workers(workers: int) -> None:
 def chunk_pool(config: SimConfig, workers: int):
     """The process pool that run_simulation(config, workers, pool) runs its
     chunks on, of min(workers, chunks) processes, open for the with block;
-    None for one worker. Its processes start at the first task."""
+    None for one worker or one chunk, which run in this process. Its
+    processes start at the first task."""
     _check_workers(workers)
-    if workers == 1:
+    chunks = -(-config.n_timeslots // _CHUNK_SLOTS)
+    if workers == 1 or chunks == 1:
         yield None
         return
-    chunks = -(-config.n_timeslots // _CHUNK_SLOTS)
     with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
         yield pool
 
@@ -461,9 +462,9 @@ def run_simulation(config: SimConfig, workers: int = 1,
                    pool: Optional[ProcessPoolExecutor] = None) -> SummaryStats:
     """Run the campaign and pool the statistics.
 
-    A run of more than one chunk runs them on pool, when given (see
-    chunk_pool), else on a pool of its own for workers > 1. Identical
-    config and seed give bit-identical results for any worker count.
+    The chunks run on pool when given, else on chunk_pool(config,
+    workers), and in this process where that is None. Identical config
+    and seed give bit-identical results for any worker count.
     """
     _check_workers(workers)
     theta = solve_edge_angle(config.scenario)
@@ -471,12 +472,10 @@ def run_simulation(config: SimConfig, workers: int = 1,
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
     tasks = [(config, theta, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    if len(tasks) == 1 or (pool is None and workers == 1):
-        chunks = [_run_chunk(*t) for t in tasks]
-    elif pool is not None:
-        chunks = list(pool.map(_run_chunk, *zip(*tasks)))
-    else:
-        with chunk_pool(config, workers) as pool:
+    with (contextlib.nullcontext(pool) if pool is not None else chunk_pool(config, workers)) as pool:
+        if pool is None:
+            chunks = [_run_chunk(*t) for t in tasks]
+        else:
             chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
     counts = np.concatenate([c["counts"] for c in chunks])

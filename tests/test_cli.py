@@ -281,7 +281,7 @@ class TestGoldenFiles:
                                                         (b + 1) * cli._CDF_BLOCK_ROWS - 1))))
     def test_cdf_column_is_monotone_and_ends_at_one(self, tmp_path_factory, n):
         samples = np.sort(np.random.default_rng(n).random(n))
-        path = tmp_path_factory.getbasetemp() / "cdf_property.csv"
+        path = tmp_path_factory.mktemp("cdf") / "cdf_property.csv"  # empty, appended to
         cli._write_cdfs([path], "value", [samples])
         header, rows = read_csv(path)
         assert header == ["value", "cdf"] and len(rows) == n
@@ -468,8 +468,10 @@ class TestErrors:
         assert (tmp_path / "rate_cdf_mar.csv").is_dir()
 
     def test_write_error_in_a_pool_process(self, tmp_path, capsys, monkeypatch):
-        # forked after the patch, the pool process writes its half through it
+        # two chunks, so a pool runs; forked after the patch, the pool
+        # process writes its half through it
         parent, write = os.getpid(), cli._write_cdfs
+        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 50)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
 
@@ -485,7 +487,7 @@ class TestErrors:
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("workers", ["0", str(sim._MAX_WORKERS + 1)])
+    @pytest.mark.parametrize("workers", ["0", str(sim._MAX_WORKERS + 1), "1000000000"])
     def test_worker_count_out_of_bounds(self, tmp_path, capsys, monkeypatch, workers):
         def no_pool(max_workers):
             raise AssertionError("no process may start")
@@ -497,6 +499,24 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: workers must be in [1, {sim._MAX_WORKERS}], got {workers}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "design", "gain"])
+    def test_worker_count_out_of_bounds_in_a_config_file(self, tmp_path, capsys, command):
+        conf = tmp_path / "c.json"
+        conf.write_text('{"workers": 1000000000}')
+        rc = main([command, "--config", str(conf), "--out", str(tmp_path / "out")])
+        assert rc == 2 and not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == (
+            f"error: workers must be in [1, {sim._MAX_WORKERS}], got 1000000000\n")
+
+    def test_one_chunk_runs_in_this_process(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a run of one chunk starts no process")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        assert main(["simulate", "--timeslots", "100", "--workers", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert len(digests(tmp_path)) == 9
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
