@@ -30,7 +30,7 @@ def p_los(theta_user_deg, params: ScenarioParams):
     Accepts scalars or arrays.
     """
     th = np.asarray(theta_user_deg, dtype=float)
-    if np.any(th < 0.0) or np.any(th > 90.0):
+    if not np.all((th >= 0.0) & (th <= 90.0)):  # NaN fails too
         raise ValueError("elevation angle must lie in [0, 90] degrees")
     return _scalar_like(1.0 / (1.0 + params.a * np.exp(-params.b * (th - params.a))),
                         theta_user_deg)
@@ -51,8 +51,8 @@ def g_pos(kappa, theta_edge_deg: float, params: ScenarioParams):
     kappa.
     """
     k = np.asarray(kappa, dtype=float)
-    if np.any(k < 0.0):
-        raise ValueError("kappa must be non-negative")
+    if not np.all((k >= 0.0) & (k < math.inf)):  # NaN fails too
+        raise ValueError("kappa must be finite and non-negative")
     _check_edge_angles(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
     return _scalar_like(_g(k, t, params), kappa)
@@ -77,8 +77,8 @@ def expected_path_loss_db(kappa, theta_edge_deg: float, d_max: float,
     distance d_max*sqrt(kappa^2 + tan(theta_edge)^2) with the LoS
     probability at the user's elevation angle.
     """
-    if not d_max > 0.0:
-        raise ValueError(f"cell radius must be positive, got {d_max}")
+    if not 0.0 < d_max < math.inf:
+        raise ValueError(f"cell radius must be positive and finite, got {d_max}")
     _check_edge_angles(theta_edge_deg)
     t = math.radians(theta_edge_deg)
     directivity_db = params.e_r * 10.0 * math.log10(2.0 / (1.0 - math.sin(t)))
@@ -148,7 +148,7 @@ def user_rate(kappa, theta_edge_deg: float, params: ScenarioParams):
     kappa; independent of the cell radius and the carrier frequency.
     """
     k = np.asarray(kappa, dtype=float)
-    if np.any(k < 0.0) or np.any(k > 2.0):
+    if not np.all((k >= 0.0) & (k <= 2.0)):  # NaN fails too
         raise ValueError("kappa must lie in [0, 2]: the drone never leaves the cell")
     return _scalar_like(rate_function(theta_edge_deg, params)(k), kappa)
 

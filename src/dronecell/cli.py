@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .channel import rate_function, user_rate
 from .design import NoOptimumError, ideal_directivity, solve_edge_angles
 from .params import ScenarioParams
 from .placement import Strategy
-from .sim import SimConfig, _check_workers, chunk_pool, run_simulation
+from .sim import SimConfig, _check_workers, _in_process, run_simulation
 
 _DEFAULTS = {
     "a": 9.61,
@@ -272,18 +273,18 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
         strategies=_parse_strategies(cfg["strategies"]),
     )
     workers = int(cfg["workers"])
-    with chunk_pool(sim_config, workers) as pool:
-        stats = run_simulation(sim_config, workers, pool)
-        jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
-                 getattr(stats.per_strategy[s], attr))
-                for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
-        if pool is None or len(sim_config.strategies) < 2:
-            _write_cdf_jobs(jobs)
-        else:
-            # a pool process writes one half of the rows while this one writes the other
-            remote, local = _split_rows(jobs)
-            pending = pool.submit(_write_cdf_jobs, remote)
-            _write_cdf_jobs(local)
+    stats = run_simulation(sim_config, workers)
+    jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
+             getattr(stats.per_strategy[s], attr))
+            for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
+    if _in_process(sim_config, workers) or len(sim_config.strategies) < 2:
+        _write_cdfs(jobs)
+    else:
+        # a second process writes one half of the rows while this one writes the other
+        remote, local = _split_rows(jobs)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(_write_cdfs, remote)
+            _write_cdfs(local)
             pending.result()
 
     theta = stats.theta_edge_deg
@@ -344,38 +345,28 @@ def _split_rows(jobs: list) -> tuple[list, list]:
     return halves
 
 
-def _write_cdf_jobs(jobs: list) -> None:
-    """Write CDF jobs (path, value column, samples): the files of one value
-    column together, through one _write_cdfs."""
-    for _, column, _ in _CDF_KINDS:
-        group = [job for job in jobs if job[1] == column]
-        if group:
-            _write_cdfs([job[0] for job in group], column, [job[2] for job in group])
+def _write_cdfs(jobs: list) -> None:
+    """Write one empirical CDF per job (path, value column, sorted samples):
+    a header, then a "value,cdf" row per sample whose cdf is its rank over
+    n, appended to the empty file path (see _OutputSet.create).
 
-
-def _write_cdfs(paths: list[Path], value_column: str, sample_sets: list[np.ndarray]) -> None:
-    """Write one empirical CDF per sorted sample set: a header, then a
-    "value,cdf" row per sample whose cdf is its rank over n, appended to
-    the empty files paths (see _OutputSet.create).
-
-    The sets have one length n, so the files are written in lockstep, a
-    block of rows at a time, and each block's cdf text is formatted once
-    for all of them. A float64 rank / n is the same IEEE division as the
-    Python (i + 1) / n, and a Python float's repr is its str().
+    The files of one sample count n are written in lockstep, a block of
+    rows at a time, and each block's cdf text is formatted once for all
+    of them. A float64 rank / n is the same IEEE division as the Python
+    (i + 1) / n, and a Python float's repr is its str().
     """
-    n = len(sample_sets[0])
-    if any(len(s) != n for s in sample_sets):
-        raise ValueError("CDF sample sets written together must have one length")
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(p.open("a", newline="")) for p in paths]
-        header = _csv_line([value_column, "cdf"])
-        for fh in files:
-            fh.write(header)
-        for lo in range(0, n, _CDF_BLOCK_ROWS):
-            hi = min(lo + _CDF_BLOCK_ROWS, n)
-            tails = [f",{c!r}\r\n" for c in (np.arange(lo + 1, hi + 1) / n).tolist()]
-            for fh, samples in zip(files, sample_sets):
-                fh.write("".join([f"{v!r}{t}" for v, t in zip(samples[lo:hi].tolist(), tails)]))
+    for n in dict.fromkeys(len(samples) for _, _, samples in jobs):
+        group = [job for job in jobs if len(job[2]) == n]
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(path.open("a", newline="")) for path, _, _ in group]
+            for fh, (_, column, _) in zip(files, group):
+                fh.write(_csv_line([column, "cdf"]))
+            for lo in range(0, n, _CDF_BLOCK_ROWS):
+                hi = min(lo + _CDF_BLOCK_ROWS, n)
+                tails = [f",{c!r}\r\n" for c in (np.arange(lo + 1, hi + 1) / n).tolist()]
+                for fh, (_, _, samples) in zip(files, group):
+                    rows = zip(samples[lo:hi].tolist(), tails)
+                    fh.write("".join([f"{v!r}{t}" for v, t in rows]))
 
 
 def main(argv=None) -> int:

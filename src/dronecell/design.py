@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_edge_angles, p_los, user_rate
+from .channel import _check_edge_angles, _scalar_like, p_los, user_rate
 from .params import ScenarioParams
 
 _LN10 = math.log(10.0)
@@ -64,7 +64,7 @@ def log_dmax_offset(theta_deg, params: ScenarioParams):
     out = -(params.eta_los - params.eta_nlos) * p_los(th, params) \
         + 20.0 * np.log10(np.cos(rad)) \
         + params.e_r * 10.0 * np.log10(2.0 / (1.0 - np.sin(rad)))
-    return float(out) if np.ndim(theta_deg) == 0 else out
+    return _scalar_like(out, theta_deg)
 
 
 def edge_angle_objective(theta_deg, params: ScenarioParams):
@@ -79,7 +79,7 @@ def edge_angle_objective(theta_deg, params: ScenarioParams):
     th = np.asarray(theta_deg, dtype=float)
     _check_edge_angles(th)
     out = _residual(th, params, params.e_r)
-    return float(out) if np.ndim(theta_deg) == 0 else out
+    return _scalar_like(out, theta_deg)
 
 
 def _residual_terms(th, params: ScenarioParams, e_r):

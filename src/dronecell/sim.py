@@ -17,7 +17,6 @@ range.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -443,28 +442,19 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be in [1, {_MAX_WORKERS}], got {workers}")
 
 
-@contextlib.contextmanager
-def chunk_pool(config: SimConfig, workers: int):
-    """The process pool that run_simulation(config, workers, pool) runs its
-    chunks on, of min(workers, chunks) processes, open for the with block;
-    None for one worker or one chunk, which run in this process. Its
-    processes start at the first task."""
-    _check_workers(workers)
-    chunks = -(-config.n_timeslots // _CHUNK_SLOTS)
-    if workers == 1 or chunks == 1:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
-        yield pool
+def _in_process(config: SimConfig, workers: int) -> bool:
+    """Whether a run of config on workers runs in this process alone: it
+    has one worker or one chunk."""
+    return workers == 1 or config.n_timeslots <= _CHUNK_SLOTS
 
 
-def run_simulation(config: SimConfig, workers: int = 1,
-                   pool: Optional[ProcessPoolExecutor] = None) -> SummaryStats:
+def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     """Run the campaign and pool the statistics.
 
-    The chunks run on pool when given, else on chunk_pool(config,
-    workers), and in this process where that is None. Identical config
-    and seed give bit-identical results for any worker count.
+    The chunks run in this process for one worker or one chunk, else on a
+    process pool of min(workers, chunks) processes that this call opens
+    and closes. Identical config and seed give bit-identical results for
+    any worker count.
     """
     _check_workers(workers)
     theta = solve_edge_angle(config.scenario)
@@ -472,10 +462,10 @@ def run_simulation(config: SimConfig, workers: int = 1,
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
     tasks = [(config, theta, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    with (contextlib.nullcontext(pool) if pool is not None else chunk_pool(config, workers)) as pool:
-        if pool is None:
-            chunks = [_run_chunk(*t) for t in tasks]
-        else:
+    if _in_process(config, workers):
+        chunks = [_run_chunk(*t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
     counts = np.concatenate([c["counts"] for c in chunks])

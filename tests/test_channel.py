@@ -232,3 +232,22 @@ class TestRateDerivatives:
         # the rate has a cone at the user: a finite, negative slope
         _, r1, r2 = rate_derivatives(48.0, URBAN)(np.zeros(1))
         assert r1[0] < 0.0 and np.isfinite(r2[0])
+
+
+@pytest.mark.parametrize("fn,args", [
+    (p_los, (math.nan,)),
+    (p_los, (np.array([30.0, math.nan]),)),
+    (g_pos, (math.nan, 48.0)),
+    (g_pos, (math.inf, 48.0)),
+    (user_rate, (math.nan, 48.0)),
+    (user_rate, (np.array([0.5, math.nan]), 48.0)),
+    (expected_path_loss_db, (math.nan, 48.0, 100.0)),
+    (expected_path_loss_db, (0.5, 48.0, math.inf)),
+    (expected_path_loss_db, (0.5, 48.0, math.nan)),
+], ids=["p_los-nan", "p_los-nan-in-array", "g_pos-nan", "g_pos-inf", "user_rate-nan",
+        "user_rate-nan-in-array", "path_loss-nan-kappa", "path_loss-inf-dmax",
+        "path_loss-nan-dmax"])
+def test_rejects_non_finite_input(fn, args):
+    # a range check written as "x < lo or x > hi" lets NaN through
+    with pytest.raises(ValueError):
+        fn(*args, URBAN)

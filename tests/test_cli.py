@@ -139,7 +139,7 @@ class TestSimulate:
                                             "static,sbc,mar,cmp"])
     def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch, strategies):
         # 400 slots in 4 chunks, so --workers 2 runs them on a real pool, and
-        # with 2 or more strategies a pool process writes part of the CDFs
+        # with 2 or more strategies a second process writes part of the CDFs
         submitted = []
 
         class SpyPool(ProcessPoolExecutor):
@@ -155,6 +155,7 @@ class TestSimulate:
 
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 100)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
         a, b = tmp_path / "w1", tmp_path / "w2"
         common = ["simulate", "--lambda", "3", "--timeslots", "400", "--seed", "6",
                   "--strategies", strategies]
@@ -162,7 +163,7 @@ class TestSimulate:
         assert submitted == []
         assert main(common + ["--workers", "2", "--out", str(b)]) == 0
         n = strategies.count(",") + 1
-        assert submitted == ["_run_chunk"] * 4 + ["_write_cdf_jobs"] * (n > 1)
+        assert submitted == ["_run_chunk"] * 4 + ["_write_cdfs"] * (n > 1)
         assert len(digests(a)) == 2 * n + 1 and digests(a) == digests(b)
 
     def test_cdf_halves_balance_rows(self):
@@ -257,16 +258,21 @@ class TestGoldenFiles:
             return buf.getvalue().encode()
 
         block = cli._CDF_BLOCK_ROWS
-        # a few hundred rows; over two full blocks plus a partial one; and
-        # the all-empty run, whose rate files hold the header alone
-        for lam, slots, seed in ((3.0, 80, 21), (1.0, 2 * block + 800, 3), (0.05, 20, 0)):
+        # a few hundred rows; over two full blocks plus a partial one; the
+        # all-empty run, whose rate files hold the header alone; and one user
+        # per slot, whose rate and travel files are written in one lockstep
+        for lam, fixed_n, slots, seed in ((3.0, None, 80, 21), (1.0, None, 2 * block + 800, 3),
+                                          (0.05, None, 20, 0), (5.0, 1, block + 300, 8)):
             out = tmp_path / f"lam{lam}"
-            assert main(["simulate", "--lambda", str(lam), "--timeslots", str(slots),
+            users = ["--lambda", str(lam)] if fixed_n is None else ["--fixed-n", str(fixed_n)]
+            assert main(["simulate", *users, "--timeslots", str(slots),
                          "--seed", str(seed), "--out", str(out)]) == 0
-            stats = run_simulation(SimConfig(scenario=URBAN, lam=lam, n_timeslots=slots,
-                                             seed=seed))
+            stats = run_simulation(SimConfig(scenario=URBAN, lam=lam, fixed_n=fixed_n,
+                                             n_timeslots=slots, seed=seed))
             if slots > 2 * block:
                 assert stats.n_users_total > 2 * block and stats.n_users_total % block
+            if fixed_n is not None:
+                assert stats.n_users_total == slots
             for s, result in stats.per_strategy.items():
                 assert (out / f"rate_cdf_{s.value}.csv").read_bytes() == reference(
                     "rate_bits_per_symbol", result.rate_samples)
@@ -282,7 +288,7 @@ class TestGoldenFiles:
     def test_cdf_column_is_monotone_and_ends_at_one(self, tmp_path_factory, n):
         samples = np.sort(np.random.default_rng(n).random(n))
         path = tmp_path_factory.mktemp("cdf") / "cdf_property.csv"  # empty, appended to
-        cli._write_cdfs([path], "value", [samples])
+        cli._write_cdfs([(path, "value", samples)])
         header, rows = read_csv(path)
         assert header == ["value", "cdf"] and len(rows) == n
         assert [float(r[0]) for r in rows] == samples.tolist()
@@ -296,7 +302,7 @@ class TestGoldenFiles:
             samples = np.sort(np.random.default_rng(n).random(n))
             tracemalloc.start()
             try:
-                cli._write_cdfs([tmp_path / f"n{n}.csv"], "value", [samples])
+                cli._write_cdfs([(tmp_path / f"n{n}.csv", "value", samples)])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -468,19 +474,21 @@ class TestErrors:
         assert (tmp_path / "rate_cdf_mar.csv").is_dir()
 
     def test_write_error_in_a_pool_process(self, tmp_path, capsys, monkeypatch):
-        # two chunks, so a pool runs; forked after the patch, the pool
-        # process writes its half through it
-        parent, write = os.getpid(), cli._write_cdfs
+        # two chunks, so the CDF files are split; forked after the patch, the
+        # second process writes its half's headers through it
+        parent, line = os.getpid(), cli._csv_line
+        fork_pool = functools.partial(ProcessPoolExecutor,
+                                      mp_context=multiprocessing.get_context("fork"))
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 50)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", fork_pool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", fork_pool)
 
-        def failing_in_the_pool(paths, *args):
+        def failing_in_the_pool(cells):
             if os.getpid() != parent:
                 raise OSError("disk full")
-            write(paths, *args)
+            return line(cells)
 
-        monkeypatch.setattr(cli, "_write_cdfs", failing_in_the_pool)
+        monkeypatch.setattr(cli, "_csv_line", failing_in_the_pool)
         rc = main(["simulate", "--timeslots", "100", "--workers", "2",
                    "--out", str(tmp_path)])
         assert rc == 2
@@ -493,6 +501,7 @@ class TestErrors:
             raise AssertionError("no process may start")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         rc = main(["simulate", "--timeslots", "10000", "--workers", workers,
                    "--out", str(tmp_path)])
         assert rc == 2
@@ -514,6 +523,7 @@ class TestErrors:
             raise AssertionError("a run of one chunk starts no process")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         assert main(["simulate", "--timeslots", "100", "--workers", "2",
                      "--out", str(tmp_path)]) == 0
         assert len(digests(tmp_path)) == 9

@@ -254,9 +254,6 @@ class TestEngine:
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS, seed=2)
         with pytest.raises(ValueError, match=f"workers must be in \\[1, {sim._MAX_WORKERS}\\]"):
             run_simulation(cfg, workers=workers)
-        with pytest.raises(ValueError, match="workers must be in"):
-            with sim.chunk_pool(cfg, workers):
-                pass
 
     def test_empty_slot_returns_to_center(self):
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=200, seed=5)
