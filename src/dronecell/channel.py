@@ -32,8 +32,11 @@ def p_los(theta_user_deg, params: ScenarioParams):
     th = np.asarray(theta_user_deg, dtype=float)
     if not np.all((th >= 0.0) & (th <= 90.0)):  # NaN fails too
         raise ValueError("elevation angle must lie in [0, 90] degrees")
-    return _scalar_like(1.0 / (1.0 + params.a * np.exp(-params.b * (th - params.a))),
-                        theta_user_deg)
+    return _scalar_like(_s_curve(th, params), theta_user_deg)
+
+
+def _s_curve(theta_user_deg, params: ScenarioParams):
+    return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta_user_deg - params.a)))
 
 
 def fspl_offset_db(params: ScenarioParams) -> float:
@@ -53,18 +56,26 @@ def g_pos(kappa, theta_edge_deg: float, params: ScenarioParams):
     k = np.asarray(kappa, dtype=float)
     if not np.all((k >= 0.0) & (k < math.inf)):  # NaN fails too
         raise ValueError("kappa must be finite and non-negative")
+    p, s, _ = _kernel(theta_edge_deg, params)(k)
+    return _scalar_like((params.eta_los - params.eta_nlos) * p + 10.0 * np.log10(s), kappa)
+
+
+def _kernel(theta_edge_deg: float, params: ScenarioParams):
+    """Unchecked kappa -> (P, s, q), t = tan(theta_edge): P is the s-curve at arctan(t/kappa),
+    s = kappa^2 + t^2, and q = (s_edge/s) exp((ln(10)/10)(eta_los - eta_nlos)(P_edge - P)) is
+    10^((g_pos(1) - g_pos)/10); P_edge takes P's array path, so q(1) = 1 exactly."""
     _check_edge_angles(theta_edge_deg)
     t = math.tan(math.radians(theta_edge_deg))
-    return _scalar_like(_g(k, t, params), kappa)
+    scale = math.log(10.0) / 10.0 * (params.eta_los - params.eta_nlos)
 
+    def p_s(k):
+        return _s_curve(np.degrees(np.arctan2(t, k)), params), k * k + t * t
+    p_edge, s_edge = (float(v[0]) for v in p_s(np.ones(1)))
 
-def _g(k, t: float, params: ScenarioParams):
-    # g_pos at kappa k with t = tan(theta_edge); the LoS probability is
-    # inlined as a quotient so the rate kernel stays bit-stable
-    theta_user = np.degrees(np.arctan2(t, k))
-    return (params.eta_los - params.eta_nlos) \
-        / (1.0 + params.a * np.exp(-params.b * (theta_user - params.a))) \
-        + 10.0 * np.log10(k * k + t * t)
+    def kernel(k):
+        p, s = p_s(k)
+        return p, s, np.exp(scale * (p_edge - p)) * (s_edge / s)
+    return kernel
 
 
 def expected_path_loss_db(kappa, theta_edge_deg: float, d_max: float,
@@ -79,28 +90,23 @@ def expected_path_loss_db(kappa, theta_edge_deg: float, d_max: float,
     """
     if not 0.0 < d_max < math.inf:
         raise ValueError(f"cell radius must be positive and finite, got {d_max}")
-    _check_edge_angles(theta_edge_deg)
+    g = g_pos(kappa, theta_edge_deg, params)  # checks kappa and the edge angle
     t = math.radians(theta_edge_deg)
     directivity_db = params.e_r * 10.0 * math.log10(2.0 / (1.0 - math.sin(t)))
-    g = g_pos(kappa, theta_edge_deg, params)
-    return g + 20.0 * math.log10(d_max) + fspl_offset_db(params) \
-        + params.eta_nlos - directivity_db
+    return g + 20.0 * math.log10(d_max) + fspl_offset_db(params) + params.eta_nlos - directivity_db
 
 
 def rate_function(theta_edge_deg: float, params: ScenarioParams):
-    """Vectorized kappa -> expected rate callable, edge gain precomputed.
+    """Vectorized kappa -> expected rate callable, log2(1 + q) on the kernel's q.
 
     The returned callable accepts any non-negative kappa array and does no
     range checking; it is the hot kernel shared by the placement
     optimizers and the simulator.
     """
-    _check_edge_angles(theta_edge_deg)
-    t = math.tan(math.radians(theta_edge_deg))
-    g_edge = float(_g(np.float64(1.0), t, params))
+    kernel = _kernel(theta_edge_deg, params)
 
     def rate(kappa):
-        k = np.asarray(kappa, dtype=float)
-        return np.log2(1.0 + 10.0 ** ((g_edge - _g(k, t, params)) * 0.1))
+        return np.log2(1.0 + kernel(np.asarray(kappa, dtype=float))[2])
 
     return rate
 
@@ -109,25 +115,19 @@ def rate_derivatives(theta_edge_deg: float, params: ScenarioParams):
     """Vectorized kappa -> (r, r', r'') callable: rate_function's rate, bit
     for bit, and its first two derivatives in kappa, finite at kappa = 0.
 
-    With q = 10^((g_edge - g)/10), sigma = q/(1+q) and c = ln(10)/10,
+    With g = g_pos, sigma = q/(1+q) and c = ln(10)/10,
     r' = -(c/ln 2) sigma g' and r'' = -(c/ln 2)(sigma g'' - c sigma(1-sigma) g'^2),
     where g', g'' follow from dP/dtheta = b P(1-P) and
     dtheta/dkappa = -(180/pi) t/(kappa^2 + t^2).
     """
-    _check_edge_angles(theta_edge_deg)
+    kernel = _kernel(theta_edge_deg, params)
     t = math.tan(math.radians(theta_edge_deg))
-    g_edge = float(_g(np.float64(1.0), t, params))
-    c = math.log(10.0) / 10.0
+    deg_t, c = math.degrees(t), math.log(10.0) / 10.0
     d_eta = params.eta_los - params.eta_nlos
-    deg_t = math.degrees(t)
 
     def terms(kappa):
-        # _g's operations in _g's order, with the s-curve evaluated once
         k = np.asarray(kappa, dtype=float)
-        den = 1.0 + params.a * np.exp(-params.b * (np.degrees(np.arctan2(t, k)) - params.a))
-        s = k * k + t * t
-        q = 10.0 ** ((g_edge - (d_eta / den + 10.0 * np.log10(s))) * 0.1)
-        p = 1.0 / den
+        p, s, q = kernel(k)
         sigma = q / (1.0 + q)
         p1 = params.b * p * (1.0 - p)                 # dP/dtheta
         p2 = params.b * p1 * (1.0 - 2.0 * p)          # d2P/dtheta2

@@ -230,7 +230,7 @@ def _design_columns(theta: float, _) -> tuple[float, float]:
 
 
 def _gain_columns(theta: float, scenario: ScenarioParams) -> tuple[float, float]:
-    rate = rate_function(theta, scenario)  # one edge gain for both columns
+    rate = rate_function(theta, scenario)  # one edge reference for both columns
     return float(rate(0.0)), float(rate(1.0))
 
 

@@ -16,8 +16,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # - gap = eta_nlos - eta_los <= 1000 dB: the residual's s-curve term
 #   b*gap*bump/(1 + bump)^2 <= b*gap/4 <= 2.5e6 and its other terms stay
 #   below 35, so the scan's product of two residuals stays below 1e13; the
-#   rate's 10^((g_edge - g)/10) stays below 10^((gap + 41.2)/10) < 1e105,
-#   41.2 dB being 10*log10(1 + 1/tan^2) at the smallest edge angle; and
+#   rate's q = (s_edge/s) exp(gap*(P - P_edge) ln(10)/10) stays below
+#   (1 + 1/tan^2) 10^(gap/10) < 1e105 at the smallest edge angle; and
 #   the first kappa-derivative of g stays below b*gap*(180/pi)/tan(0.5 deg)
 #   = 6.6e10, so the rate's second derivative, which squares it, below 1e22.
 _MAX_A = _MAX_B = 1e4

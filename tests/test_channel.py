@@ -136,6 +136,19 @@ class TestUserRate:
             theta_e = float(rng.uniform(5.0, 85.0))
             assert abs(user_rate(1.0, theta_e, p) - 1.0) < 1e-12
 
+    def test_edge_normalization_exact_inside_arrays(self):
+        # kappa = 1 anywhere in a large array reads exactly 1.0, not only a
+        # lone 0-d kappa: the edge reference takes the array path of every kappa
+        rng = np.random.default_rng(45)
+        for _ in range(500):
+            p = oracles.random_scenario(rng)
+            theta_e = float(rng.uniform(5.0, 85.0))
+            k = rng.uniform(0.0, 2.0, 5000)
+            at = rng.choice(k.size, size=20, replace=False)
+            k[at] = 1.0
+            assert np.all(rate_function(theta_e, p)(k)[at] == 1.0)
+            assert np.all(rate_derivatives(theta_e, p)(k)[0][at] == 1.0)
+
     def test_strictly_decreasing(self):
         rng = np.random.default_rng(43)
         grid = np.linspace(0.0, 2.0, 1000)

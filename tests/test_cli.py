@@ -213,7 +213,7 @@ class TestGoldenFiles:
 
     @pytest.mark.parametrize("command,sha256", [
         ("design", "976a943bdb6e3ce782aef17824f2d2849ac213477b7da7373f2b58ba21511256"),
-        ("gain", "d42effb3a073a08c3df17da6065d2e958f8646bb266bf1dd2eb0f6686f5eb951")])
+        ("gain", "721929f6f0b55978bcf0ab1cad9c4b48e059b4bcf82cd29880d4c04b20d03f55")])
     def test_fine_sweep_is_byte_stable(self, tmp_path, command, sha256):
         # the benchmark's 991-row e_r grid: a last-bit change in any solved
         # edge angle moves these digests
@@ -223,7 +223,7 @@ class TestGoldenFiles:
 
     @pytest.mark.parametrize("command,sha256", [
         ("design", "976a943bdb6e3ce782aef17824f2d2849ac213477b7da7373f2b58ba21511256"),
-        ("gain", "d42effb3a073a08c3df17da6065d2e958f8646bb266bf1dd2eb0f6686f5eb951")])
+        ("gain", "721929f6f0b55978bcf0ab1cad9c4b48e059b4bcf82cd29880d4c04b20d03f55")])
     def test_fine_sweep_manifest_reports_the_solver(self, tmp_path, command, sha256):
         # the diagnostics go to the manifest only: the CSV keeps its digest
         assert main([command, "--er-min", "0", "--er-max", "0.99", "--er-step", "0.001",

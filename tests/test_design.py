@@ -7,7 +7,7 @@ import pytest
 from dronecell import (URBAN, NearDegenerateWarning, NoOptimumError, edge_angle_objective,
                        ideal_directivity, log_dmax_offset, solve_edge_angle)
 from dronecell import design
-from dronecell.channel import expected_path_loss_db, rate_derivatives, rate_function
+from dronecell.channel import expected_path_loss_db, g_pos, rate_derivatives, rate_function
 from dronecell.params import ScenarioParams
 
 import oracles
@@ -261,4 +261,5 @@ class TestScenarioBounds:
             for edge in (0.5, theta, 89.5):
                 rate_function(edge, p)(kappas)
                 rate_derivatives(edge, p)(kappas)
+                g_pos(kappas, edge, p)
         assert abs(theta - oracles.theta_star_grid(p)) <= 2e-3
