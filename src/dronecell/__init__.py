@@ -8,9 +8,14 @@ from .design import (NearDegenerateWarning, NoOptimumError, edge_angle_objective
                      ideal_directivity, log_dmax_offset, max_gain, solve_edge_angle,
                      solve_edge_angles)
 from .params import SPEED_OF_LIGHT, URBAN, ScenarioParams
-from .placement import Strategy, min_enclosing_circle
-from .sim import (SimConfig, run_simulation, sample_user_count,
-                  sample_users_uniform_disc)
+
+# the engine's names, each with its module: imported on first access, so that
+# the geometry design alone never loads the engine
+_ENGINE_NAMES = {
+    "Strategy": "placement", "min_enclosing_circle": "placement",
+    "SimConfig": "sim", "run_simulation": "sim", "sample_user_count": "sim",
+    "sample_users_uniform_disc": "sim",
+}
 
 __all__ = [
     "SPEED_OF_LIGHT", "URBAN", "ScenarioParams",
@@ -23,3 +28,13 @@ __all__ = [
     "sample_users_uniform_disc",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_ENGINE_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

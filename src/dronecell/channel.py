@@ -17,6 +17,8 @@ from .params import SPEED_OF_LIGHT, ScenarioParams
 # edge angles from this one (degrees) up are rejected: nearer 90, 1 - sin(theta)
 # rounds to 0 and the directivity and the radius terms become infinite
 _MAX_EDGE_DEG = 90.0 - 1e-6
+# degrees per radian: x * _RAD_TO_DEG is bit for bit np.degrees(x), and faster
+_RAD_TO_DEG = 180.0 / math.pi
 
 
 def _scalar_like(out, ref):
@@ -69,7 +71,7 @@ def _kernel(theta_edge_deg: float, params: ScenarioParams):
     scale = math.log(10.0) / 10.0 * (params.eta_los - params.eta_nlos)
 
     def p_s(k):
-        return _s_curve(np.degrees(np.arctan2(t, k)), params), k * k + t * t
+        return _s_curve(np.arctan2(t, k) * _RAD_TO_DEG, params), k * k + t * t
     p_edge, s_edge = (float(v[0]) for v in p_s(np.ones(1)))
 
     def kernel(k):

@@ -15,18 +15,20 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .channel import rate_function, user_rate
 from .design import NoOptimumError, ideal_directivity, solve_edge_angles
-from .params import ScenarioParams
-from .placement import Strategy
-from .sim import SimConfig, _check_workers, _in_process, run_simulation
+from .params import ScenarioParams, _check_workers
+
+if TYPE_CHECKING:
+    from .placement import Strategy
+    from .sim import SimConfig, SummaryStats
 
 _DEFAULTS = {
     "a": 9.61,
@@ -149,6 +151,8 @@ def _scenario(cfg: dict) -> ScenarioParams:
 
 
 def _parse_strategies(value) -> tuple[Strategy, ...]:
+    from .placement import Strategy
+
     if isinstance(value, str):
         names = [s.strip() for s in value.split(",") if s.strip()]
     else:
@@ -261,10 +265,19 @@ def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     })
 
 
+def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
+    """The engine's run_simulation, imported when first called: the sweep
+    commands never load the engine or the process pool."""
+    from .sim import run_simulation
+    return run_simulation(config, workers)
+
+
 def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
+    from . import sim
+
     scenario = _scenario(cfg)
     fixed_n = cfg["fixed_n"]
-    sim_config = SimConfig(
+    sim_config = sim.SimConfig(
         scenario=scenario,
         lam=float(cfg["lambda"]),
         fixed_n=None if fixed_n is None else int(fixed_n),
@@ -277,13 +290,16 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
     jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
              getattr(stats.per_strategy[s], attr))
             for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
-    if _in_process(sim_config, workers) or len(sim_config.strategies) < 2:
+    if sim._in_process(sim_config, workers) or len(sim_config.strategies) < 2:
         _write_cdfs(jobs)
     else:
-        # a second process writes one half of the rows while this one writes the other
+        # a second process writes one half of the rows while this one writes
+        # the other; it is handed its half at its start, which a forked
+        # process inherits without a pickled copy
         remote, local = _split_rows(jobs)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(_write_cdfs, remote)
+        with sim.ProcessPoolExecutor(max_workers=1, initializer=_hold_jobs,
+                                     initargs=(remote,)) as pool:
+            pending = pool.submit(_write_cdfs)
             _write_cdfs(local)
             pending.result()
 
@@ -345,16 +361,29 @@ def _split_rows(jobs: list) -> tuple[list, list]:
     return halves
 
 
-def _write_cdfs(jobs: list) -> None:
+# the CDF jobs this process was handed at its start, when it is the pool
+# process of cmd_simulate
+_held_jobs: list = []
+
+
+def _hold_jobs(jobs: list) -> None:
+    global _held_jobs
+    _held_jobs = jobs
+
+
+def _write_cdfs(jobs: list | None = None) -> None:
     """Write one empirical CDF per job (path, value column, sorted samples):
     a header, then a "value,cdf" row per sample whose cdf is its rank over
-    n, appended to the empty file path (see _OutputSet.create).
+    n, appended to the empty file path (see _OutputSet.create). The jobs
+    default to those this process was handed at its start.
 
     The files of one sample count n are written in lockstep, a block of
     rows at a time, and each block's cdf text is formatted once for all
     of them. A float64 rank / n is the same IEEE division as the Python
     (i + 1) / n, and a Python float's repr is its str().
     """
+    if jobs is None:
+        jobs = _held_jobs
     for n in dict.fromkeys(len(samples) for _, _, samples in jobs):
         group = [job for job in jobs if len(job[2]) == n]
         with contextlib.ExitStack() as stack:

@@ -1,4 +1,5 @@
-"""Scenario parameter set for the air-to-ground propagation model."""
+"""Scenario parameter set for the air-to-ground propagation model, and the
+bound on the worker processes of a run."""
 
 from __future__ import annotations
 
@@ -23,6 +24,12 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _MAX_A = _MAX_B = 1e4
 _MAX_AB = 300.0
 _MAX_LOSS_GAP_DB = 1000.0
+_MAX_WORKERS = 64  # bound on the worker processes of a run
+
+
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {_MAX_WORKERS}], got {workers}")
 
 
 @dataclass(frozen=True)

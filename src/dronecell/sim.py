@@ -26,13 +26,12 @@ import numpy as np
 
 from .channel import rate_derivatives, rate_function
 from .design import solve_edge_angle
-from .params import ScenarioParams
+from .params import _MAX_WORKERS, ScenarioParams, _check_workers
 from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
 _CHUNK_SLOTS = 4096
 _MAX_USERS_PER_SLOT = 1000    # bound on lam and fixed_n
 _MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots, and on n_timeslots x users per slot
-_MAX_WORKERS = 64               # bound on the worker processes of a run
 _DRAW_COUNT = 0
 _DRAW_POSITION = 1
 _SAMPLE_BLOCK_USERS = 1 << 16  # users whose positions are drawn at once
@@ -435,11 +434,6 @@ def _strategy_stats(strategy: Strategy, rates: np.ndarray, kappas: np.ndarray,
         rate_samples=rates_sorted,
         travel_samples=travel_sorted,
     )
-
-
-def _check_workers(workers: int) -> None:
-    if not 1 <= workers <= _MAX_WORKERS:
-        raise ValueError(f"workers must be in [1, {_MAX_WORKERS}], got {workers}")
 
 
 def _in_process(config: SimConfig, workers: int) -> bool:

@@ -155,7 +155,6 @@ class TestSimulate:
 
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 100)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
         a, b = tmp_path / "w1", tmp_path / "w2"
         common = ["simulate", "--lambda", "3", "--timeslots", "400", "--seed", "6",
                   "--strategies", strategies]
@@ -481,7 +480,6 @@ class TestErrors:
                                       mp_context=multiprocessing.get_context("fork"))
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 50)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", fork_pool)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", fork_pool)
 
         def failing_in_the_pool(cells):
             if os.getpid() != parent:
@@ -501,7 +499,6 @@ class TestErrors:
             raise AssertionError("no process may start")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         rc = main(["simulate", "--timeslots", "10000", "--workers", workers,
                    "--out", str(tmp_path)])
         assert rc == 2
@@ -523,7 +520,6 @@ class TestErrors:
             raise AssertionError("a run of one chunk starts no process")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         assert main(["simulate", "--timeslots", "100", "--workers", "2",
                      "--out", str(tmp_path)]) == 0
         assert len(digests(tmp_path)) == 9
