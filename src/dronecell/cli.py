@@ -58,9 +58,6 @@ _CDF_BLOCK_ROWS = 1024
 # bytes per read when hashing an emitted file
 _DIGEST_READ_BYTES = 1 << 20
 
-# argparse dest -> config key ("lambda" is a Python keyword)
-_FLAG_KEYS = {("lam" if key == "lambda" else key): key for key in _DEFAULTS}
-
 # config keys that hold counts; every key but "strategies" holds a number
 _INT_KEYS = ("fixed_n", "timeslots", "seed", "workers")
 
@@ -78,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-los", type=float, dest="eta_los")
         p.add_argument("--eta-nlos", type=float, dest="eta_nlos")
         p.add_argument("--freq-hz", type=float, dest="freq_hz")
-        p.add_argument("--er", type=float, dest="er")
         p.add_argument("--out", type=Path, default=Path("out"))
 
     for name, help_text in (("design", "sweep the efficiency exponent, tabulate cell geometry"),
@@ -91,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the Monte-Carlo campaign")
     add_common(p)
-    p.add_argument("--lambda", type=float, dest="lam",
+    p.add_argument("--er", type=float, dest="er")
+    p.add_argument("--lambda", type=float, dest="lambda",
                    help="mean users per timeslot (Poisson)")
     p.add_argument("--fixed-n", type=int, dest="fixed_n",
                    help="fixed user count overriding the Poisson draw")
@@ -121,8 +118,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         for key, value in loaded.items():
             _check_config_type(key, value)
         cfg.update(loaded)
-    for dest, key in _FLAG_KEYS.items():
-        val = getattr(args, dest, None)
+    for key in cfg:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     _check_workers(cfg["workers"])
@@ -178,7 +175,8 @@ def _er_sweep(cfg: dict) -> list[float]:
             f"efficiency sweep must have at most {_MAX_SWEEP_ROWS} rows, got {span + 1.0:.4g}")
     n = int(round(span)) + 1
     values = [round(lo + i * step, 12) for i in range(n)]
-    return [v for v in values if v < 1.0]
+    # n is the nearest row count, so its last row may lie past max
+    return [v for v in values if v <= round(hi, 12) and v < 1.0]
 
 
 class _OutputSet:

@@ -9,7 +9,9 @@ Slot t draws its count and its positions from the numpy streams
 Generator(Philox(SeedSequence(seed, spawn_key=(t, purpose)))). The engine
 computes exactly what those streams return, for a whole chunk of slots at
 once (SeedSequence's hash mix, Philox4x64-10 and numpy's Poisson
-algorithms, vectorised over slots), without building a generator per slot.
+algorithm for lam < 10, vectorised over slots), without building a
+generator per slot; counts for lam >= 10 come from numpy's own Poisson
+sampler, one slot at a time, on one generator set to each slot's key.
 A slot's users are thus a pure function of (seed, slot), so a run is
 bit-reproducible for any worker count and any chunking of the timeslot
 range.
@@ -134,7 +136,8 @@ class SummaryStats:
 # exactly what those streams return, for many slots at once:
 # SeedSequence's hash mix gives each slot's Philox key, Philox4x64-10
 # (Salmon et al. 2011) gives its raw words from counter blocks 1, 2, ...,
-# and numpy's own Poisson algorithms give the counts.
+# and numpy's multiplication algorithm gives the counts for lam < 10. For
+# lam >= 10, numpy's own generator, set to each slot's key, draws its count.
 
 _MASK32 = 0xFFFFFFFF
 # numpy.random.SeedSequence: hash constants and pool size
@@ -146,12 +149,6 @@ _POOL_SIZE = 4
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# numpy's random_loggam: Stirling series coefficients and log(2 pi)
-_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
-             -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
-             6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
-             -1.39243221690590e+00)
-_LG2PI = 1.8378770664093453e+00
 
 
 def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
@@ -238,23 +235,6 @@ def _philox_uniforms(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
     return (np.stack([c0, c1, c2, c3], axis=1) >> 11) * (1.0 / 9007199254740992.0)
 
 
-def _loggam(x: float) -> float:
-    """log Gamma(x) for x >= 1, numpy's random_loggam constant for constant."""
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    n = int(7 - x) if x < 7.0 else 0
-    x0 = x + n
-    x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = _LOGGAM_A[9]
-    for a in _LOGGAM_A[8::-1]:
-        gl0 = gl0 * x2 + a
-    gl = gl0 / x0 + 0.5 * _LG2PI + (x0 - 0.5) * math.log(x0) - x0
-    for _ in range(n):
-        gl -= math.log(x0 - 1.0)
-        x0 -= 1.0
-    return gl
-
-
 def _poisson_mult(lam: float, keys: np.ndarray) -> np.ndarray:
     """numpy's Poisson draw for lam < 10 on each key's stream: the number
     of uniforms whose running product stays above exp(-lam)."""
@@ -274,37 +254,20 @@ def _poisson_mult(lam: float, keys: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _poisson_ptrs(lam: float, keys: np.ndarray) -> np.ndarray:
-    """numpy's Poisson draw for lam >= 10 on each key's stream: Hormann's
-    PTRS transformed rejection, two uniforms per attempt. Attempts that
-    pass neither the fast acceptance nor the fast rejection test take the
-    scalar log test."""
-    slam, loglam = math.sqrt(lam), math.log(lam)
-    b = 0.931 + 2.53 * slam
-    a = -0.059 + 0.02483 * b
-    invalpha = 1.1239 + 1.1328 / (b - 3.4)
-    vr = 0.9277 - 3.6224 / (b - 2)
+def _poisson_numpy(lam: float, keys: np.ndarray) -> np.ndarray:
+    """numpy's Poisson draw for lam >= 10 on each key's stream, from numpy
+    itself: one generator whose Philox state is set to each key in turn."""
+    gen = np.random.Generator(np.random.Philox())
+    # counter 0 and an empty buffer: the state a seeded Philox starts in;
+    # Python ints, which the setter reads faster than numpy scalars
+    zeros = (0, 0, 0, 0)
+    state = {"bit_generator": "Philox", "buffer": zeros,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty(keys.shape[1], np.int64)
-    rows = np.arange(keys.shape[1])
-    block = 0
-    while rows.size:
-        u = _philox_uniforms(keys[:, rows], np.full(rows.size, block + 1))
-        uc, v = u[:, 0::2] - 0.5, u[:, 1::2]  # two attempts per block
-        us = 0.5 - np.abs(uc)
-        with np.errstate(divide="ignore"):  # us == 0 gives k = -inf: rejected
-            k = np.floor((2 * a / us + b) * uc + lam + 0.43)
-        accept = (us >= 0.07) & (v <= vr)
-        slow = ~accept & (k >= 0) & ~((us < 0.013) & (v > us))
-        for i, j in zip(*np.nonzero(slow)):
-            vij, uij, kij = float(v[i, j]), float(us[i, j]), float(k[i, j])
-            lhs = ((math.log(vij) if vij > 0.0 else -math.inf) + math.log(invalpha)
-                   - math.log(a / (uij * uij) + b))
-            accept[i, j] = lhs <= -lam + kij * loglam - _loggam(kij + 1.0)
-        done = accept.any(axis=1)
-        first = accept[done].argmax(axis=1)
-        counts[rows[done]] = k[done][np.arange(first.size), first]
-        rows = rows[~done]
-        block += 1
+    for i, key in enumerate(keys.T.tolist()):
+        state["state"] = {"counter": zeros, "key": key}
+        gen.bit_generator.state = state
+        counts[i] = gen.poisson(lam)
     return counts
 
 
@@ -315,7 +278,7 @@ def sample_user_count(lam: float, seed: int, slots: np.ndarray) -> np.ndarray:
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     keys = _slot_keys(seed, np.asarray(slots, np.int64), _DRAW_COUNT)
-    return (_poisson_mult if lam < 10.0 else _poisson_ptrs)(lam, keys)
+    return (_poisson_mult if lam < 10.0 else _poisson_numpy)(lam, keys)
 
 
 def sample_users_uniform_disc(n: int, seed: int, slots: np.ndarray,

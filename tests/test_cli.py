@@ -68,6 +68,14 @@ class TestDesign:
             assert float(r[3]) == pytest.approx(
                 math.tan(math.radians(float(r[1]))), rel=1e-12)
 
+    @pytest.mark.parametrize("er_min, er_max, last, n_rows", [
+        ("0", "0.93", 0.9, 19), ("0.3", "0.3", 0.3, 1)])
+    def test_sweep_stops_at_er_max(self, tmp_path, er_min, er_max, last, n_rows):
+        assert main(["design", "--er-min", er_min, "--er-max", er_max, "--er-step", "0.05",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "design.csv")
+        assert len(rows) == n_rows and float(rows[-1][0]) == last
+
     def test_near_degenerate_status(self, tmp_path):
         assert main(["design", "--er-min", "0.999", "--er-max", "0.999",
                      "--er-step", "0.05", "--out", str(tmp_path)]) == 0
@@ -135,11 +143,14 @@ class TestSimulate:
                          "--seed", "42", "--out", str(out)]) == 0
         assert digests(a) == digests(b)
 
-    @pytest.mark.parametrize("strategies", ["mar", "static,cmp", "sbc,mar,cmp",
-                                            "static,sbc,mar,cmp"])
-    def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch, strategies):
+    @pytest.mark.parametrize("strategies, lam", [
+        ("mar", "3"), ("static,cmp", "3"), ("sbc,mar,cmp", "3"), ("static,sbc,mar,cmp", "3"),
+        ("static,sbc,mar,cmp", "20")],
+        ids=["mar", "static,cmp", "sbc,mar,cmp", "static,sbc,mar,cmp", "static,sbc,mar,cmp-lam20"])
+    def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch, strategies, lam):
         # 400 slots in 4 chunks, so --workers 2 runs them on a real pool, and
-        # with 2 or more strategies a second process writes part of the CDFs
+        # with 2 or more strategies a second process writes part of the CDFs;
+        # at lambda 20 the pool's processes draw the counts through numpy
         submitted = []
 
         class SpyPool(ProcessPoolExecutor):
@@ -156,7 +167,7 @@ class TestSimulate:
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 100)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
         a, b = tmp_path / "w1", tmp_path / "w2"
-        common = ["simulate", "--lambda", "3", "--timeslots", "400", "--seed", "6",
+        common = ["simulate", "--lambda", lam, "--timeslots", "400", "--seed", "6",
                   "--strategies", strategies]
         assert main(common + ["--workers", "1", "--out", str(a)]) == 0
         assert submitted == []
@@ -367,6 +378,14 @@ class TestErrors:
         assert not out.exists()
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--dmax", "500", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["design", "gain"])
+    def test_sweeps_take_no_er(self, tmp_path, command):
+        # the sweep sets e_r in every row, so the flag would do nothing
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--er", "0.3", "--out", str(out)])
         assert exc.value.code == 2 and not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -223,6 +223,40 @@ class TestSolveEdgeAngles:
             design.solve_edge_angles(URBAN, ers)
 
 
+# ROADMAP item 3's known defects, at eta_los = 1: (a, b, eta_nlos, e_r)
+# and where the dense grid puts the largest radius. Two rows have their
+# maximum at a scan end, which the solver does not rank against its
+# stationary points; one hides two roots inside one 0.25-degree scan cell.
+SCAN_END_MAXIMA = [((1.0, 300.0, 1.001, 0.0), 0.5), ((87.53, 2.87, 7.83, 0.9), 89.5)]
+HIDDEN_ROOT_PAIR = [((0.885, 17.85, 1.0013, 0.0), 0.985)]
+
+
+def _defect_row(a, b, eta_nlos, er):
+    return ScenarioParams(a=a, b=b, eta_los=1.0, eta_nlos=eta_nlos, freq_hz=2e9, e_r=er)
+
+
+class TestEdgeAngleDefects:
+    @pytest.mark.parametrize("row, theta_grid", SCAN_END_MAXIMA + HIDDEN_ROOT_PAIR)
+    def test_dense_grid_maximum(self, row, theta_grid):
+        assert oracles.theta_star_grid(_defect_row(*row)) == pytest.approx(theta_grid, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the solver ranks stationary points only, not the scan ends")
+    @pytest.mark.parametrize("row, theta_grid", SCAN_END_MAXIMA)
+    def test_scan_end_maximum_is_not_ok(self, row, theta_grid):
+        p = _defect_row(*row)
+        sweep = design.solve_edge_angles(p, [p.e_r])
+        assert sweep.status[0] != "ok", (sweep.theta[0], theta_grid)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the scan misses a sign change twice within one cell")
+    @pytest.mark.parametrize("row, theta_grid", HIDDEN_ROOT_PAIR)
+    def test_hidden_root_pair_is_found(self, row, theta_grid):
+        p = _defect_row(*row)
+        theta = design.solve_edge_angles(p, [p.e_r]).theta[0]
+        assert theta == pytest.approx(theta_grid, abs=2e-3)
+
+
 # Al-Hourani et al.'s s-curve constants and excess losses: suburban, urban,
 # dense urban, highrise urban
 AL_HOURANI = [(4.88, 0.43, 0.1, 21.0), (9.61, 0.16, 1.0, 20.0),
