@@ -27,7 +27,8 @@ _XTOL = 1e-10          # MAR step length below which an instance has converged
 _CONE_EPS = 1e-12      # a user this close sits under the iterate, on its cone
 _SNAP_RADIUS = 1e-3    # reach of the move onto a strictly better user
 _MEET_RADIUS = 1e-2    # a start this close to an earlier start of its instance retires
-_ASCENT_BLOCK = 16384  # MAR starts x users, or SBC points, per block; bounds the working set
+_ASCENT_BLOCK = 16384  # MAR starts or grid nodes x users, or SBC points, per (sub-)block;
+                       # bounds the working set
 
 
 class Strategy(str, Enum):
@@ -228,33 +229,44 @@ def solve_mar_batch(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np
 
 
 def _solve_block(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.ndarray]:
-    """solve_mar_batch on one block of instances, every start at once."""
-    b = users.shape[0]
-    grid_vals = _aggregate_rates(np.broadcast_to(_POLAR_GRID, (b,) + _POLAR_GRID.shape),
-                                 users, rate)
-    grid_best = _POLAR_GRID[np.argmax(grid_vals, axis=1)]
+    """solve_mar_batch on one block of instances, every start at once.
+
+    The polar grid is scored in sub-blocks of at most _ASCENT_BLOCK rates.
+    Each final's objective comes from the ascent; only the finals that the
+    projection onto the disc moves are scored again.
+    """
+    b, n, _ = users.shape
+    grid_best = np.empty((b, 2))
+    size = max(1, _ASCENT_BLOCK // (len(_POLAR_GRID) * n))
+    for i in range(0, b, size):
+        part = users[i:i + size]
+        grid_vals = _aggregate_rates(
+            np.broadcast_to(_POLAR_GRID, (len(part),) + _POLAR_GRID.shape), part, rate)
+        grid_best[i:i + size] = _POLAR_GRID[np.argmax(grid_vals, axis=1)]
     starts = np.concatenate([
         np.zeros((b, 1, 2)),
         users,
         grid_best[:, None, :],
     ], axis=1)  # (B, S, 2)
     s = starts.shape[1]
-    finals = _newton_ascent(starts.reshape(-1, 2), np.repeat(users, s, axis=0),
-                            rate, rate_terms, starts=s)
+    start_users = np.repeat(users, s, axis=0)
+    finals, values = _newton_ascent(starts.reshape(-1, 2), start_users, rate, rate_terms,
+                                    starts=s)
     # project onto the closed cell disc (a projection never lowers the
     # objective: users live inside the disc)
-    finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]
-    finals = finals.reshape(b, s, 2)
+    norm = np.hypot(finals[:, 0], finals[:, 1])
+    out = np.flatnonzero(norm > 1.0)
+    if out.size:
+        finals[out] /= norm[out, None]
+        values[out] = _aggregate_rates(finals[out, None], start_users[out], rate)[:, 0]
     # a final never scores below its start: the ascent only accepts strict
     # rises, and a start inside the disc is not moved by the projection
-    values = _aggregate_rates(finals, users, rate)
-    pick = np.argmax(values, axis=1)
-    rows = np.arange(b)
-    return finals[rows, pick], values[rows, pick]
+    pick = np.argmax(values.reshape(b, s), axis=1) + np.arange(b) * s
+    return finals[pick], values[pick]
 
 
 def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
-                   starts: int = 1) -> np.ndarray:
+                   starts: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton ascent of sum_i r(k_i), k_i = |x - u_i|, from starts
     x0 (M, 2) against users (M, N, 2), whose rows hold consecutive
     instances of `starts` starts each.
@@ -270,11 +282,17 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
     others. A start that moves to within _MEET_RADIUS of an earlier start
     of its instance that has not retired retires where it is: it would
     climb the same hill, and the earlier start carries on.
+
+    Returns the finals x (M, 2) and their objectives (M,): each is the
+    objective of the start (the first iteration's sum), of the last
+    accepted point, or of the user that point moved onto, with the bits of
+    _aggregate_rates at x.
     """
     x = x0.copy()
+    values = np.empty(x.shape[0])
     active = np.arange(x.shape[0])
     live = np.ones(x.shape[0], dtype=bool)  # not retired
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER):
         if active.size == 0:
             break
         xa, ua = x[active], users[active]
@@ -302,6 +320,8 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
         length = np.hypot(step[:, 0], step[:, 1])
 
         f = r.sum(axis=1)
+        if it == 0:
+            values[:] = f
         moved = np.zeros(active.size, dtype=bool)
         todo = np.flatnonzero(np.hypot(gx, gy) > cone)
         t = 1.0
@@ -309,14 +329,15 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
             xt = xa[todo] + t * step[todo]
             ft = _aggregate_rates(xt[:, None, :], ua[todo], rate)[:, 0]
             ok = ft > f[todo]
-            x[active[todo[ok]]] = _snap(xt[ok], ft[ok], ua[todo[ok]], rate)
+            rows = active[todo[ok]]
+            x[rows], values[rows] = _snap(xt[ok], ft[ok], ua[todo[ok]], rate)
             moved[todo[ok]] = True
             todo = todo[~ok]
             t *= 0.5
         active = active[moved]
         if starts > 1:
             active = _retire_met(x, active, live, starts)
-    return x
+    return x, values
 
 
 def _retire_met(x: np.ndarray, active: np.ndarray, live: np.ndarray, starts: int) -> np.ndarray:
@@ -331,14 +352,17 @@ def _retire_met(x: np.ndarray, active: np.ndarray, live: np.ndarray, starts: int
     return active[~met]
 
 
-def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, rate) -> np.ndarray:
+def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, rate
+          ) -> tuple[np.ndarray, np.ndarray]:
     """Move each point x[j] (objective f[j]) onto its nearest user when that
-    user lies within _SNAP_RADIUS and scores strictly higher."""
+    user lies within _SNAP_RADIUS and scores strictly higher; returns the
+    points and their objectives."""
     kap = np.hypot(users[..., 0] - x[:, None, 0], users[..., 1] - x[:, None, 1])
     near = np.argmin(kap, axis=1)
     close = np.flatnonzero(kap[np.arange(x.shape[0]), near] <= _SNAP_RADIUS)
     if close.size:
         u = users[close, near[close]]
-        better = _aggregate_rates(u[:, None, :], users[close], rate)[:, 0] > f[close]
-        x[close[better]] = u[better]
-    return x
+        fu = _aggregate_rates(u[:, None, :], users[close], rate)[:, 0]
+        better = fu > f[close]
+        x[close[better]], f[close[better]] = u[better], fu[better]
+    return x, f

@@ -46,12 +46,13 @@ def scenarios(draws=range(20), e_rs=(None, 0.0, 0.95), urban_e_rs=(0.6, 0.0, 0.9
             + [URBAN.with_efficiency(e) for e in urban_e_rs])
 
 
-def blocks(params, max_n: int | None = None):
-    """The engine draws under params, as (B, N, 2) blocks of the slots with
-    one user count N (at most max_n), as the engine gathers them."""
+def blocks(params, max_n: int | None = None, slots: int = SLOTS):
+    """The engine draws of `slots` slots under params, as (B, N, 2) blocks
+    of the slots with one user count N (at most max_n), as the engine
+    gathers them."""
     for lam, fixed_n in DRAWS:
-        cfg = SimConfig(scenario=params, lam=lam, fixed_n=fixed_n, n_timeslots=SLOTS, seed=SEED)
-        counts, users = _sample_slots(cfg, 0, SLOTS)
+        cfg = SimConfig(scenario=params, lam=lam, fixed_n=fixed_n, n_timeslots=slots, seed=SEED)
+        counts, users = _sample_slots(cfg, 0, slots)
         offsets = np.cumsum(counts) - counts
         for n in sorted(set(counts.tolist()) - {0}):
             if max_n is None or n <= max_n:
@@ -64,7 +65,8 @@ def refined(starts: np.ndarray, users: np.ndarray, rate, rate_terms
     """The ascent's finals from starts (B, S, 2) against users (B, N, 2),
     projected onto the cell disc, and their objectives (B, S)."""
     b, s, _ = starts.shape
-    finals = _newton_ascent(starts.reshape(-1, 2), np.repeat(users, s, axis=0), rate, rate_terms)
+    finals, _ = _newton_ascent(starts.reshape(-1, 2), np.repeat(users, s, axis=0), rate,
+                               rate_terms)
     finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]
     finals = finals.reshape(b, s, 2)
     return finals, _aggregate_rates(finals, users, rate)
@@ -80,14 +82,16 @@ def class_starts(users: np.ndarray, rate) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.array([0] + [1] * n + [2, 3])
 
 
-def main() -> None:
+def main(params_list=None, slots: int = SLOTS) -> None:
+    """Print the probe's tables over the scenarios of params_list (default:
+    scenarios()), each on engine draws of `slots` slots."""
     per_n: dict[int, list] = {}  # N -> [instances, worst loss, instances above, equal positions]
     subsets = [c for k in range(1, 5) for c in itertools.combinations(range(4), k)]
     lost = {c: [0, 0.0] for c in subsets}  # classes -> [instances below TOL, worst loss]
-    for params in scenarios():
+    for params in scenarios() if params_list is None else params_list:
         theta = solve_edge_angle(params)
         rate, rate_terms = rate_function(theta, params), rate_derivatives(theta, params)
-        for users in blocks(params):
+        for users in blocks(params, slots=slots):
             starts, cls = class_starts(users, rate)
             finals, values = refined(starts, users, rate, rate_terms)
             pick = np.argmax(values, axis=1)

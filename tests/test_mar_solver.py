@@ -148,12 +148,12 @@ def test_keeps_up_with_the_ascent_from_the_sbc_center():
 def test_met_starts_retire_within_their_instance_only(monkeypatch):
     users = np.array([[[-0.6, 0.1], [0.2, 0.5], [0.4, -0.7]]] * 2)
     x0 = np.array([[0.9, 0.0], [0.9, 0.0]])
-    apart = _newton_ascent(x0, users, RATE, RATE_TERMS)  # two instances of 1 start
-    one = _newton_ascent(x0, users, RATE, RATE_TERMS, starts=2)
+    apart, _ = _newton_ascent(x0, users, RATE, RATE_TERMS)  # two instances of 1 start
+    one, _ = _newton_ascent(x0, users, RATE, RATE_TERMS, starts=2)
     assert np.array_equal(apart[0], apart[1]) and np.array_equal(one[0], apart[0])
     # the second start met the first after one step and stopped there
     monkeypatch.setattr(placement, "_MAX_ITER", 1)
-    step = _newton_ascent(x0[:1], users[:1], RATE, RATE_TERMS)
+    step, _ = _newton_ascent(x0[:1], users[:1], RATE, RATE_TERMS)
     assert np.array_equal(one[1], step[0]) and not np.array_equal(one[1], one[0])
 
 
@@ -176,6 +176,57 @@ def test_retiring_met_starts_loses_nothing_on_engine_draws():
         _, ref = mar_start_probe.refined(starts, users, RATE, counting(1))
         assert np.all(val >= ref.max(axis=1) * (1.0 - 1e-12))
     assert terms_elems[0] < 0.6 * terms_elems[1]
+
+
+def test_objectives_are_the_finals_scores():
+    # the ascent hands back each final's objective; they must be the bits
+    # that scoring the returned position gives
+    for params in mar_start_probe.scenarios(draws=(16,), e_rs=(0.0,), urban_e_rs=(0.6,)):
+        theta = solve_edge_angle(params)
+        rate, rate_terms = rate_function(theta, params), rate_derivatives(theta, params)
+        for users in mar_start_probe.blocks(params):
+            pos, val = solve_mar_batch(users, rate, rate_terms)
+            assert np.array_equal(val, _aggregate_rates(pos[:, None], users, rate)[:, 0])
+            # every start's, from just beside each user, where the ascent often moves onto it
+            rows = np.repeat(users, users.shape[1], axis=0)
+            x, f = _newton_ascent((users + 5e-4).reshape(-1, 2), rows, rate, rate_terms)
+            assert np.array_equal(f, _aggregate_rates(x[:, None], rows, rate)[:, 0])
+
+
+def test_finals_the_projection_moves_are_scored_again(monkeypatch):
+    ascent = placement._newton_ascent
+
+    def outside(x0, users, rate, rate_terms, starts=1):
+        # every other final pushed out of the disc, its objective left as it was
+        x, f = ascent(x0, users, rate, rate_terms, starts)
+        x[::2] = (0.0, 2.0)
+        return x, f
+
+    users = np.array([[[0.2, 0.9], [-0.9, 0.3], [0.1, 0.1]], [[0.0, 0.95], [0.1, 0.9], [-0.1, 0.9]]])
+    monkeypatch.setattr(placement, "_newton_ascent", outside)
+    pos, val = solve(users)
+    assert np.all(np.hypot(pos[:, 0], pos[:, 1]) <= 1.0 + 2.0 * np.finfo(float).eps)
+    assert np.array_equal(val, _aggregate_rates(pos[:, None], users, RATE)[:, 0])
+
+
+def test_grid_sub_blocks_are_batch_independent(monkeypatch):
+    for users in mar_start_probe.blocks(URBAN.with_efficiency(0.6)):
+        pos, val = solve(users)
+        # one instance per grid sub-block, several per ascent block
+        monkeypatch.setattr(placement, "_ASCENT_BLOCK", len(_POLAR_GRID) * users.shape[1])
+        p1, v1 = solve(users)
+        monkeypatch.undo()
+        assert np.array_equal(p1, pos) and np.array_equal(v1, val)
+
+
+def test_start_probe_runs(capsys):
+    params = URBAN.with_efficiency(0.6)
+    mar_start_probe.main([params], slots=16)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    total = next(row for row in rows if row[:1] == ["all"])
+    assert int(total[1]) == sum(len(users) for users in mar_start_probe.blocks(params, slots=16))
+    assert float(total[2]) <= mar_start_probe.TOL
+    assert ["center", "+", "users", "+", "grid", "0"] in [row[:-1] for row in rows]
 
 
 # users inside the closed unit disc, with the points where a start sits
