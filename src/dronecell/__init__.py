@@ -1,7 +1,7 @@
 """Standalone drone small cells: coverage-optimal geometry and dynamic
 horizontal repositioning gains under Poisson user populations."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .channel import expected_path_loss_db, g_pos, p_los, rate_function, user_rate
 from .design import (NearDegenerateWarning, NoOptimumError, edge_angle_objective,

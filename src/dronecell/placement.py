@@ -201,10 +201,18 @@ _POLAR_GRID = _coarse_polar_grid()
 
 def _aggregate_rates(positions: np.ndarray, users: np.ndarray, rate) -> np.ndarray:
     """Objective at many candidate positions: positions (B, P, 2) against
-    users (B, N, 2) -> (B, P)."""
+    users (B, N, 2) -> (B, P).
+
+    Distances are sqrt(dx^2 + dy^2) here and throughout the MAR solver, at
+    a third of np.hypot's cost: in the unit disc no square overflows, and a
+    distance whose square underflows is on the cone (_CONE_EPS) either way.
+    """
     dx = users[:, None, :, 0] - positions[:, :, None, 0]
     dy = users[:, None, :, 1] - positions[:, :, None, 1]
-    return rate(np.hypot(dx, dy)).sum(axis=-1)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return rate(np.sqrt(dx, out=dx)).sum(axis=-1)
 
 
 def solve_mar_batch(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +262,7 @@ def _solve_block(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.nd
                                     starts=s)
     # project onto the closed cell disc (a projection never lowers the
     # objective: users live inside the disc)
-    norm = np.hypot(finals[:, 0], finals[:, 1])
+    norm = np.sqrt(finals[:, 0] * finals[:, 0] + finals[:, 1] * finals[:, 1])
     out = np.flatnonzero(norm > 1.0)
     if out.size:
         finals[out] /= norm[out, None]
@@ -296,34 +304,37 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
         if active.size == 0:
             break
         xa, ua = x[active], users[active]
-        dx = xa[:, None, :] - ua  # (K, N, 2)
-        kap = np.hypot(dx[..., 0], dx[..., 1])
+        dx = xa[:, None, 0] - ua[..., 0]  # (K, N)
+        dy = xa[:, None, 1] - ua[..., 1]
+        kap = np.sqrt(dx * dx + dy * dy)
         r, r1, r2 = rate_terms(kap)
         on = kap <= _CONE_EPS
         cone = -np.where(on, r1, 0.0).sum(axis=1)
-        k_safe = np.where(on, 1.0, kap)
-        ex, ey = dx[..., 0] / k_safe, dx[..., 1] / k_safe
-        r1 = np.where(on, 0.0, r1)
-        tang = r1 / k_safe  # Hessian: sum_i (r'' - r'/k) e_i e_i^T + (r'/k) I
-        rad = np.where(on, 0.0, r2) - tang
-        gx, gy = (r1 * ex).sum(axis=1), (r1 * ey).sum(axis=1)
-        hxx = (rad * ex * ex + tang).sum(axis=1)
-        hxy = (rad * ex * ey).sum(axis=1)
-        hyy = (rad * ey * ey + tang).sum(axis=1)
+        # with d_i = x - u_i, a_i = r'/k and c_i = (r'' - a_i)/k^2 (0 on the
+        # cone): gradient sum_i a_i d_i, Hessian sum_i c_i d_i d_i^T + (sum_i a_i) I
+        inv = 1.0 / np.where(on, np.inf, kap)
+        a = r1 * inv
+        c = (r2 - a) * inv * inv
+        gx, gy = (a * dx).sum(axis=1), (a * dy).sum(axis=1)
+        tang = a.sum(axis=1)
+        cdx = c * dx
+        hxx = (cdx * dx).sum(axis=1) + tang
+        hxy = (cdx * dy).sum(axis=1)
+        hyy = (c * dy * dy).sum(axis=1) + tang
         det = hxx * hyy - hxy * hxy
         newton = (cone == 0.0) & (hxx < 0.0) & (det > 0.0)
         det = np.where(newton, det, 1.0)
-        weight = np.where(on.all(axis=1), 1.0, -tang.sum(axis=1))
+        weight = np.where(on.all(axis=1), 1.0, -tang)
         step = np.stack([np.where(newton, (hxy * gy - hyy * gx) / det, gx / weight),
                          np.where(newton, (hxy * gx - hxx * gy) / det, gy / weight)],
                         axis=1)
-        length = np.hypot(step[:, 0], step[:, 1])
+        length = np.sqrt(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1])
 
         f = r.sum(axis=1)
         if it == 0:
             values[:] = f
         moved = np.zeros(active.size, dtype=bool)
-        todo = np.flatnonzero(np.hypot(gx, gy) > cone)
+        todo = np.flatnonzero(gx * gx + gy * gy > cone * cone)
         t = 1.0
         while (todo := todo[t * length[todo] > _XTOL]).size:
             xt = xa[todo] + t * step[todo]
@@ -344,9 +355,10 @@ def _retire_met(x: np.ndarray, active: np.ndarray, live: np.ndarray, starts: int
     """The active starts (rows of x, `starts` per instance) that stay: those
     not within _MEET_RADIUS of a live earlier start of their instance. The
     others are marked not live."""
-    z = x.view(complex)[:, 0]  # x[:, 0] + 1j x[:, 1], no copy
     rows = (active - active % starts)[:, None] + np.arange(starts)  # (K, S): the instance
-    met = ((np.abs(z[rows] - z[active, None]) <= _MEET_RADIUS) & live[rows]
+    dx = x[rows, 0] - x[active, None, 0]
+    dy = x[rows, 1] - x[active, None, 1]
+    met = ((dx * dx + dy * dy <= _MEET_RADIUS * _MEET_RADIUS) & live[rows]
            & (rows < active[:, None])).any(axis=1)
     live[active[met]] = False
     return active[~met]
@@ -357,9 +369,10 @@ def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, rate
     """Move each point x[j] (objective f[j]) onto its nearest user when that
     user lies within _SNAP_RADIUS and scores strictly higher; returns the
     points and their objectives."""
-    kap = np.hypot(users[..., 0] - x[:, None, 0], users[..., 1] - x[:, None, 1])
-    near = np.argmin(kap, axis=1)
-    close = np.flatnonzero(kap[np.arange(x.shape[0]), near] <= _SNAP_RADIUS)
+    dx, dy = users[..., 0] - x[:, None, 0], users[..., 1] - x[:, None, 1]
+    kap2 = dx * dx + dy * dy
+    near = np.argmin(kap2, axis=1)
+    close = np.flatnonzero(kap2[np.arange(x.shape[0]), near] <= _SNAP_RADIUS * _SNAP_RADIUS)
     if close.size:
         u = users[close, near[close]]
         fu = _aggregate_rates(u[:, None, :], users[close], rate)[:, 0]

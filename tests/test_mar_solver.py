@@ -43,8 +43,9 @@ def solve(users):
 
 
 def objective(position, users):
-    k = np.hypot(users[:, 0] - position[0], users[:, 1] - position[1])
-    return float(RATE(k).sum())
+    # the solver's distance form, sqrt(dx^2 + dy^2), so that its objectives compare exactly
+    dx, dy = users[:, 0] - position[0], users[:, 1] - position[1]
+    return float(RATE(np.sqrt(dx * dx + dy * dy)).sum())
 
 
 def load_corpus():
