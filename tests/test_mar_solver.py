@@ -188,7 +188,7 @@ def test_objectives_are_the_finals_scores():
         for users in mar_start_probe.blocks(params):
             pos, val = solve_mar_batch(users, rate, rate_terms)
             assert np.array_equal(val, _aggregate_rates(pos[:, None], users, rate)[:, 0])
-            # every start's, from just beside each user, where the ascent often moves onto it
+            # every start's objective too, from starts beside each user: these often snap onto it
             rows = np.repeat(users, users.shape[1], axis=0)
             x, f = _newton_ascent((users + 5e-4).reshape(-1, 2), rows, rate, rate_terms)
             assert np.array_equal(f, _aggregate_rates(x[:, None], rows, rate)[:, 0])
@@ -203,7 +203,8 @@ def test_finals_the_projection_moves_are_scored_again(monkeypatch):
         x[::2] = (0.0, 2.0)
         return x, f
 
-    users = np.array([[[0.2, 0.9], [-0.9, 0.3], [0.1, 0.1]], [[0.0, 0.95], [0.1, 0.9], [-0.1, 0.9]]])
+    users = np.array([[[0.2, 0.9], [-0.9, 0.3], [0.1, 0.1]],
+                      [[0.0, 0.95], [0.1, 0.9], [-0.1, 0.9]]])
     monkeypatch.setattr(placement, "_newton_ascent", outside)
     pos, val = solve(users)
     assert np.all(np.hypot(pos[:, 0], pos[:, 1]) <= 1.0 + 2.0 * np.finfo(float).eps)
