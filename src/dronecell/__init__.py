@@ -3,6 +3,29 @@ horizontal repositioning gains under Poisson user populations."""
 
 __version__ = "0.8.0"
 
+
+def _load_numpy():
+    """Load numpy with one OpenBLAS thread, leaving os.environ as it was.
+
+    At load, OpenBLAS starts a thread for each further core, and each spins
+    for about 0.1 s of CPU before it sleeps; no module here calls BLAS. A
+    caller who set a thread count, or loaded numpy first, keeps its choice.
+    """
+    import os
+    import sys
+
+    if "numpy" in sys.modules or not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                      "OMP_NUM_THREADS"}.isdisjoint(os.environ):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy()
+
 from .channel import expected_path_loss_db, g_pos, p_los, rate_function, user_rate
 from .design import (NearDegenerateWarning, NoOptimumError, edge_angle_objective,
                      ideal_directivity, log_dmax_offset, max_gain, solve_edge_angle,

@@ -3,9 +3,11 @@
 The geometry design and the sweep commands must not pay for the
 Monte-Carlo engine or the process-pool stack; the engine's names stay
 reachable from the package, and the names that bench/trace_cli.py wraps
-stay module attributes that the calls go through.
+stay module attributes that the calls go through. The package loads
+numpy's OpenBLAS with one thread, because no module of it calls BLAS.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -35,6 +37,9 @@ HOMES = {
 }
 # cli calls solve_edge_angles, not solve_edge_angle: this hook wraps no name
 DEAD_HOOKS = {("dronecell.cli", "solve_edge_angle")}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# numpy's entry points into BLAS, besides the @ operator
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
 
 
 def loaded_modules(*args: str) -> set[str]:
@@ -130,3 +135,69 @@ def test_a_traced_simulate_times_the_engine(tmp_path):
     for layer in ("sim.sampling", "placement.sbc", "placement.mar", "channel.rate",
                   "design.solve"):
         assert layers[layer]["calls"] > 0, layer
+
+
+def fresh_python(script: str, **env: str) -> str:
+    """The standard output of SCRIPT in a fresh interpreter whose environment
+    sets no BLAS thread count, apart from ENV."""
+    base = {k: v for k, v in ENV.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**base, **env})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_leaves_one_os_thread():
+    assert fresh_python("import os, dronecell; print(len(os.listdir('/proc/self/task')))") == "1\n"
+
+
+@pytest.mark.parametrize("preamble, env, writes", [
+    ("", {}, ["OPENBLAS_NUM_THREADS"]),
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, []),
+    ("", {"OMP_NUM_THREADS": "2"}, []),
+    ("", {"GOTO_NUM_THREADS": "2"}, []),
+    ("import numpy", {}, []),
+], ids=["unset", "openblas", "omp", "goto", "numpy-first"])
+def test_import_leaves_the_environment_as_it_was(preamble, env, writes):
+    script = f"""
+import json, os, subprocess, sys
+{preamble}
+written = []
+
+class Spy(type(os.environ)):
+    def __setitem__(self, key, value):
+        written.append(key)
+        super().__setitem__(key, value)
+
+os.environ.__class__ = Spy
+before = dict(os.environ)
+import dronecell
+probe = "import os; print(os.getenv('OPENBLAS_NUM_THREADS'))"
+child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout
+print(json.dumps([written, dict(os.environ) == before, child.strip()]))
+"""
+    assert json.loads(fresh_python(script, **env)) == [
+        writes, True, env.get("OPENBLAS_NUM_THREADS", "None")]
+
+
+def test_no_module_calls_blas():
+    """The one-thread OpenBLAS load holds only while nothing calls BLAS."""
+    calls = []
+    for path in sorted(pathlib.Path(dronecell.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                names = ["@"] if isinstance(node.op, ast.MatMult) else []
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+            else:
+                continue
+            calls += [(path.name, node.lineno, name) for name in names
+                      if name == "@" or name in BLAS_NAMES]
+    assert calls == []
