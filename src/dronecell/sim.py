@@ -7,13 +7,11 @@ per-slot drone travel distances are pooled into empirical statistics.
 
 Slot t draws its count and its positions from the numpy streams
 Generator(Philox(SeedSequence(seed, spawn_key=(t, purpose)))). The engine
-computes exactly what those streams return, for a whole chunk of slots at
-once (SeedSequence's hash mix, Philox4x64-10 and numpy's Poisson
-algorithm for lam < 10, vectorised over slots), without building a
-generator per slot; counts for lam >= 10 come from numpy's own Poisson
-sampler, one slot at a time, on one generator set to each slot's key.
-A slot's users are thus a pure function of (seed, slot), so a run is
-bit-reproducible for any worker count and any chunking of the timeslot
+derives every slot's Philox key at once from SeedSequence's hash mix,
+vectorised over a chunk of slots, and numpy's own generator, set to each
+slot's key in turn, draws that slot's count and positions, for every
+lambda. A slot's users are thus a pure function of (seed, slot), so a run
+is bit-reproducible for any worker count and any chunking of the timeslot
 range.
 """
 
@@ -47,6 +45,15 @@ def _as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_ints(name: str, values) -> np.ndarray:
+    """values as an int64 array; an array of another kind (float, bool) is
+    rejected rather than truncated."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -132,12 +139,10 @@ class SummaryStats:
 #
 # Slot t draws its user count from the numpy stream
 # Generator(Philox(SeedSequence(seed, spawn_key=(t, 0)))) and its user
-# positions from the one with spawn_key (t, 1). The functions below compute
-# exactly what those streams return, for many slots at once:
-# SeedSequence's hash mix gives each slot's Philox key, Philox4x64-10
-# (Salmon et al. 2011) gives its raw words from counter blocks 1, 2, ...,
-# and numpy's multiplication algorithm gives the counts for lam < 10. For
-# lam >= 10, numpy's own generator, set to each slot's key, draws its count.
+# positions from the one with spawn_key (t, 1). SeedSequence's hash mix,
+# vectorised over many slots, gives each slot's Philox key without building
+# a SeedSequence per slot; one numpy generator, set to each key in turn,
+# then draws what that slot's stream returns.
 
 _MASK32 = 0xFFFFFFFF
 # numpy.random.SeedSequence: hash constants and pool size
@@ -145,10 +150,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# Philox4x64-10: round multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
 
 
 def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
@@ -188,10 +189,12 @@ def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
 
 def _slot_keys(seed: int, slots: np.ndarray, purpose: int) -> np.ndarray:
     """Philox keys of SeedSequence(seed, spawn_key=(t, purpose)) for every
-    slot t in slots (int64), shape (2, L) uint64."""
-    seed = _as_int("seed", seed)
-    if seed < 0 or np.any(slots < 0):
-        raise ValueError(f"seed and timeslots must be non-negative, got seed {seed}")
+    slot t in slots (integers), shape (2, L) uint64."""
+    seed, slots = _as_int("seed", seed), _as_ints("timeslots", slots)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if np.any(slots < 0):
+        raise ValueError(f"timeslots must be non-negative, got {slots[slots < 0][0]}")
     # the seed's little-endian 32-bit words ([0] for zero), padded with
     # zeros to the pool size, as a spawned SeedSequence assembles them
     run = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -208,67 +211,20 @@ def _slot_keys(seed: int, slots: np.ndarray, purpose: int) -> np.ndarray:
     return keys
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
-    halves."""
-    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
-    x_lo, x_hi = x & _MASK32, x >> 32
-    lo_lo, hi_lo = x_lo * m_lo, x_hi * m_lo
-    cross = (lo_lo >> 32) + (hi_lo & _MASK32) + x_lo * m_hi
-    return x_hi * m_hi + (hi_lo >> 32) + (cross >> 32), x * np.uint64(m)
-
-
-def _philox_uniforms(keys: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """The doubles in [0, 1) that numpy draws from the four words of each
-    Philox4x64-10 block: key keys[:, i] (uint64), counter (counter[i], 0, 0,
-    0). Shape (L, 4)."""
-    c0 = counter.astype(np.uint64)
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = keys
-    for i in range(_PHILOX_ROUNDS):
-        if i:
-            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    # numpy's next_double: the top 53 bits of a word over 2^53
-    return (np.stack([c0, c1, c2, c3], axis=1) >> 11) * (1.0 / 9007199254740992.0)
-
-
-def _poisson_mult(lam: float, keys: np.ndarray) -> np.ndarray:
-    """numpy's Poisson draw for lam < 10 on each key's stream: the number
-    of uniforms whose running product stays above exp(-lam)."""
-    enlam = math.exp(-lam)
-    counts = np.empty(keys.shape[1], np.int64)
-    rows, prod = np.arange(keys.shape[1]), np.ones(keys.shape[1])
-    block = 0
-    while rows.size:
-        u = _philox_uniforms(keys[:, rows], np.full(rows.size, block + 1))
-        u[:, 0] *= prod
-        run = np.cumprod(u, axis=1)  # one product at a time, as numpy's loop
-        stop = run <= enlam
-        done = stop.any(axis=1)
-        counts[rows[done]] = 4 * block + stop[done].argmax(axis=1)
-        rows, prod = rows[~done], run[~done, -1]
-        block += 1
-    return counts
-
-
-def _poisson_numpy(lam: float, keys: np.ndarray) -> np.ndarray:
-    """numpy's Poisson draw for lam >= 10 on each key's stream, from numpy
-    itself: one generator whose Philox state is set to each key in turn."""
+def _streams(keys: np.ndarray):
+    """One numpy generator, set in turn to the start of the Philox stream
+    of each key keys[:, i] (uint64) and yielded once per key; the same
+    object each time, so each draw must be taken before the next key."""
     gen = np.random.Generator(np.random.Philox())
     # counter 0 and an empty buffer: the state a seeded Philox starts in;
     # Python ints, which the setter reads faster than numpy scalars
     zeros = (0, 0, 0, 0)
     state = {"bit_generator": "Philox", "buffer": zeros,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    counts = np.empty(keys.shape[1], np.int64)
-    for i, key in enumerate(keys.T.tolist()):
+    for key in keys.T.tolist():
         state["state"] = {"counter": zeros, "key": key}
         gen.bit_generator.state = state
-        counts[i] = gen.poisson(lam)
-    return counts
+        yield gen
 
 
 def sample_user_count(lam: float, seed: int, slots: np.ndarray) -> np.ndarray:
@@ -277,8 +233,8 @@ def sample_user_count(lam: float, seed: int, slots: np.ndarray) -> np.ndarray:
     Generator(Philox(SeedSequence(seed, spawn_key=(t, 0)))).poisson(lam)."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
-    keys = _slot_keys(seed, np.asarray(slots, np.int64), _DRAW_COUNT)
-    return (_poisson_mult if lam < 10.0 else _poisson_numpy)(lam, keys)
+    keys = _slot_keys(seed, slots, _DRAW_COUNT)
+    return np.fromiter((gen.poisson(lam) for gen in _streams(keys)), np.int64, keys.shape[1])
 
 
 def sample_users_uniform_disc(n: int, seed: int, slots: np.ndarray,
@@ -288,18 +244,17 @@ def sample_users_uniform_disc(n: int, seed: int, slots: np.ndarray,
     with m users takes their radii from the first m uniforms of its stream
     Generator(Philox(SeedSequence(seed, spawn_key=(t, 1)))) and their
     angles from the next m."""
-    counts = np.asarray(counts, np.int64)
+    n, counts = _as_int("n", n), _as_ints("counts", counts)
     if n != counts.sum() or np.any(counts < 0) or np.shape(slots) != counts.shape:
         raise ValueError(f"need one non-negative user count per slot, summing to n = {n}")
-    keys = _slot_keys(seed, np.asarray(slots, np.int64), _DRAW_POSITION)
-    n_blocks = (counts + 1) // 2  # two words per user, four per block
-    first_block = np.cumsum(n_blocks) - n_blocks
-    counter = np.arange(1, n_blocks.sum() + 1) - np.repeat(first_block, n_blocks)
-    u = _philox_uniforms(keys[:, np.repeat(np.arange(len(counts)), n_blocks)], counter).ravel()
-    # a slot's user j takes word j of the slot for its radius, word m + j for its angle
-    r_word = np.arange(n) + np.repeat(4 * first_block - (np.cumsum(counts) - counts), counts)
-    r = np.sqrt(u[r_word])
-    phi = 2.0 * math.pi * u[r_word + np.repeat(counts, counts)]
+    keys = _slot_keys(seed, slots, _DRAW_POSITION)
+    u = np.empty((2, n))  # radius and angle uniforms, one column per user
+    first = 0
+    for gen, m in zip(_streams(keys), counts.tolist()):
+        gen.random(out=u[0, first:first + m])
+        gen.random(out=u[1, first:first + m])
+        first += m
+    r, phi = np.sqrt(u[0]), 2.0 * math.pi * u[1]
     return np.stack([0.0 + r * np.cos(phi), 0.0 + r * np.sin(phi)], axis=1)
 
 

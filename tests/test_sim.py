@@ -74,17 +74,37 @@ class TestSampling:
         pts = sample_users_uniform_disc(0, 2, np.array([1]), np.array([0]))
         assert pts.shape == (0, 2)
 
-    @pytest.mark.parametrize("slots, counts", [([1, 2], [1, 1]), ([1, 2], [4, -1]), ([1], [1, 2])])
+    def test_zero_slots(self):
+        assert sample_user_count(5.0, 0, np.arange(0)).shape == (0,)
+        assert sample_users_uniform_disc(0, 0, np.arange(0), np.arange(0)).shape == (0, 2)
+
+    @pytest.mark.parametrize("slots, counts", [([1, 2], [1, 1]), ([1, 2], [4, -1]), ([1], [1, 2]),
+                                               ([1, 2], [1.5, 2.0]), ([1], [3.0]),
+                                               ([1.9], [3])])
     def test_uniform_disc_rejects_counts_that_miss_n(self, slots, counts):
         with pytest.raises(ValueError):
             sample_users_uniform_disc(3, 2, np.array(slots), np.array(counts))
 
-    @pytest.mark.parametrize("seed, slot", [(-1, 0), (1.5, 0), (True, 0), (0, -1)])
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])
+    def test_uniform_disc_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_users_uniform_disc(n, 2, np.array([1]), np.array([2]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed, slot", [(-1, 0), (1.5, 0), (True, 0), (0, -1),
+                                            (0, 1.5), (0, math.nan), (0, True)])
     def test_streams_reject_a_bad_seed_or_slot(self, seed, slot):
         with pytest.raises(ValueError):
             sample_user_count(5.0, seed, np.array([slot]))
         with pytest.raises(ValueError):
             sample_users_uniform_disc(1, seed, np.array([slot]), np.array([1]))
+
+    def test_streams_name_the_first_negative_slot(self):
+        slots = np.array([4, -3, -1])
+        with pytest.raises(ValueError, match="timeslots must be non-negative, got -3$"):
+            sample_user_count(5.0, 0, slots)
+        with pytest.raises(ValueError, match="timeslots must be non-negative, got -3$"):
+            sample_users_uniform_disc(3, 0, slots, np.array([1, 1, 1]))
 
     def test_slot_streams_are_reproducible(self):
         cfg = SimConfig(scenario=URBAN, lam=4.0, n_timeslots=10, seed=9)
