@@ -34,7 +34,6 @@ _MAX_USERS_PER_SLOT = 1000    # bound on lam and fixed_n
 _MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots, and on n_timeslots x users per slot
 _DRAW_COUNT = 0
 _DRAW_POSITION = 1
-_SAMPLE_BLOCK_USERS = 1 << 16  # users whose positions are drawn at once
 
 ALL_STRATEGIES = (Strategy.STATIC, Strategy.SBC, Strategy.MAR, Strategy.CMP)
 
@@ -48,11 +47,14 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_ints(name: str, values) -> np.ndarray:
-    """values as an int64 array; an array of another kind (float, bool) is
-    rejected rather than truncated."""
+    """values as a non-negative int64 array; another kind (float, bool) is
+    rejected rather than truncated, and 2**63 or more rather than wrapped."""
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    for bad, bound in ((values < 0, "non-negative"), (values > 2**63 - 1, "below 2**63")):
+        if np.any(bad):
+            raise ValueError(f"{name} must be {bound}, got {values[bad][0]}")
     return values.astype(np.int64)
 
 
@@ -189,12 +191,10 @@ def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
 
 def _slot_keys(seed: int, slots: np.ndarray, purpose: int) -> np.ndarray:
     """Philox keys of SeedSequence(seed, spawn_key=(t, purpose)) for every
-    slot t in slots (integers), shape (2, L) uint64."""
-    seed, slots = _as_int("seed", seed), _as_ints("timeslots", slots)
+    slot t in slots (as _as_ints returns them), shape (2, L) uint64."""
+    seed = _as_int("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if np.any(slots < 0):
-        raise ValueError(f"timeslots must be non-negative, got {slots[slots < 0][0]}")
     # the seed's little-endian 32-bit words ([0] for zero), padded with
     # zeros to the pool size, as a spawned SeedSequence assembles them
     run = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -233,52 +233,49 @@ def sample_user_count(lam: float, seed: int, slots: np.ndarray) -> np.ndarray:
     Generator(Philox(SeedSequence(seed, spawn_key=(t, 0)))).poisson(lam)."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
-    keys = _slot_keys(seed, slots, _DRAW_COUNT)
+    keys = _slot_keys(seed, _as_ints("timeslots", slots), _DRAW_COUNT)
     return np.fromiter((gen.poisson(lam) for gen in _streams(keys)), np.int64, keys.shape[1])
 
 
 def sample_users_uniform_disc(n: int, seed: int, slots: np.ndarray,
                               counts: np.ndarray) -> np.ndarray:
-    """n user positions uniform over the unit disc about the origin, shape
-    (n, 2): counts[i] of them, in slot order, for timeslot slots[i]. A slot
-    with m users takes their radii from the first m uniforms of its stream
+    """n user positions uniform over the unit disc about the origin, (n, 2),
+    the transposed view of a (2, n) array: counts[i] of them, in slot order,
+    for timeslot slots[i]. A slot with m > 0 users takes their radii from
+    the first m uniforms of its stream
     Generator(Philox(SeedSequence(seed, spawn_key=(t, 1)))) and their
     angles from the next m."""
     n, counts = _as_int("n", n), _as_ints("counts", counts)
-    if n != counts.sum() or np.any(counts < 0) or np.shape(slots) != counts.shape:
-        raise ValueError(f"need one non-negative user count per slot, summing to n = {n}")
-    keys = _slot_keys(seed, slots, _DRAW_POSITION)
+    if n != counts.sum() or np.shape(slots) != counts.shape:
+        raise ValueError(f"need one user count per slot, summing to n = {n}")
+    occupied = counts > 0
+    keys = _slot_keys(seed, _as_ints("timeslots", slots)[occupied], _DRAW_POSITION)
     u = np.empty((2, n))  # radius and angle uniforms, one column per user
     first = 0
-    for gen, m in zip(_streams(keys), counts.tolist()):
+    for gen, m in zip(_streams(keys), counts[occupied].tolist()):
         gen.random(out=u[0, first:first + m])
         gen.random(out=u[1, first:first + m])
         first += m
-    r, phi = np.sqrt(u[0]), 2.0 * math.pi * u[1]
-    return np.stack([0.0 + r * np.cos(phi), 0.0 + r * np.sin(phi)], axis=1)
+    # in place: r = sqrt(u0) and phi = 2 pi u1, then (r cos phi, r sin phi)
+    np.sqrt(u[0], out=u[0])
+    u[1] *= 2.0 * math.pi
+    cos = np.cos(u[1])
+    np.sin(u[1], out=u[1])
+    u[1] *= u[0]
+    u[0] *= cos
+    u += 0.0  # -0.0 becomes 0.0
+    return u.T
 
 
 def _sample_slots(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """User counts of timeslots [start, stop) and their users in slot
-    order in the unit disc, (U, 2). Positions are drawn for runs of
-    whole slots of at most _SAMPLE_BLOCK_USERS users (or one slot), so
-    the working set does not grow with lambda."""
+    order in the unit disc, (U, 2)."""
     slots = np.arange(start, stop)
     if config.fixed_n is None:
         counts = sample_user_count(config.lam, config.seed, slots)
     else:
         counts = np.full(len(slots), config.fixed_n, np.int64)
-    ends = np.cumsum(counts)
-    users = np.empty((int(ends[-1]), 2))
-    lo = 0
-    while lo < len(slots):
-        first = int(ends[lo] - counts[lo])
-        hi = max(lo + 1, int(np.searchsorted(ends, first + _SAMPLE_BLOCK_USERS, side="right")))
-        last = int(ends[hi - 1])
-        users[first:last] = sample_users_uniform_disc(
-            last - first, config.seed, slots[lo:hi], counts[lo:hi])
-        lo = hi
-    return counts, users
+    return counts, sample_users_uniform_disc(int(counts.sum()), config.seed, slots, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +283,17 @@ def _sample_slots(config: SimConfig, start: int, stop: int) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _run_chunk(config: SimConfig, theta: float, start: int, stop: int) -> dict:
-    """Simulate timeslots [start, stop) at edge angle theta; normalized-frame arrays."""
+    """Simulate timeslots [start, stop) at edge angle theta: {strategy: (rates
+    of the users in slot order, how many of them have kappa > 1, drone
+    positions (L, 2) in the normalized frame)}."""
     counts, users = _sample_slots(config, start, stop)
-    return {"counts": counts, "users": users,
-            "positions": _place_slots(users, counts, config.strategies, config.scenario, theta)}
+    rate = rate_function(theta, config.scenario)
+    pooled = {}
+    for s, pos in _place_slots(users, counts, config.strategies, config.scenario, theta).items():
+        pu = np.repeat(pos, counts, axis=0)
+        kappas = np.hypot(users[:, 0] - pu[:, 0], users[:, 1] - pu[:, 1])
+        pooled[s] = (rate(kappas), np.count_nonzero(kappas > 1.0), pos)
+    return pooled
 
 
 def _place_slots(users: np.ndarray, counts: np.ndarray, strategies: tuple[Strategy, ...],
@@ -336,7 +340,7 @@ def _nearest_rank(sorted_vals: np.ndarray, pct: float) -> float:
     return float(sorted_vals[min(rank, n) - 1])
 
 
-def _strategy_stats(strategy: Strategy, rates: np.ndarray, kappas: np.ndarray,
+def _strategy_stats(strategy: Strategy, rates: np.ndarray, beyond: int,
                     travel: np.ndarray) -> StrategyStats:
     n = rates.size
     rates_sorted = np.sort(rates)
@@ -347,7 +351,7 @@ def _strategy_stats(strategy: Strategy, rates: np.ndarray, kappas: np.ndarray,
         mean_rate=float(np.mean(rates)) if n else math.nan,
         p5_rate=_nearest_rank(rates_sorted, 5.0),
         frac_rate_above_1=float(np.count_nonzero(rates > 1.0) / n) if n else math.nan,
-        frac_kappa_above_1=float(np.count_nonzero(kappas > 1.0) / n) if n else math.nan,
+        frac_kappa_above_1=float(beyond / n) if n else math.nan,
         mean_travel=float(np.mean(travel)),
         rate_samples=rates_sorted,
         travel_samples=travel_sorted,
@@ -370,7 +374,6 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     """
     _check_workers(workers)
     theta = solve_edge_angle(config.scenario)
-    rate = rate_function(theta, config.scenario)
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
     tasks = [(config, theta, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
@@ -380,22 +383,16 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
-    counts = np.concatenate([c["counts"] for c in chunks])
-    users = np.concatenate([c["users"] for c in chunks], axis=0)
-    slot_of_user = np.repeat(np.arange(config.n_timeslots), counts)
-    n_users_total = int(counts.sum())
-
     per_strategy: dict[Strategy, StrategyStats] = {}
     for s in config.strategies:
-        pos = np.concatenate([c["positions"][s] for c in chunks], axis=0)
-        pu = pos[slot_of_user]
-        kappas = np.hypot(users[:, 0] - pu[:, 0], users[:, 1] - pu[:, 1])
-        rates = rate(kappas)
+        # popped, so that each chunk's arrays are freed once concatenated
+        rates, beyond, pos = zip(*(c.pop(s) for c in chunks))
+        rates, pos = np.concatenate(rates), np.concatenate(pos)
         prev = np.vstack([np.zeros(2), pos[:-1]])
         travel = np.hypot(pos[:, 0] - prev[:, 0], pos[:, 1] - prev[:, 1])
-        per_strategy[s] = _strategy_stats(s, rates, kappas, travel)
+        per_strategy[s] = _strategy_stats(s, rates, sum(beyond), travel)
 
     return SummaryStats(config=config, theta_edge_deg=theta,
                         n_timeslots=config.n_timeslots,
-                        n_users_total=n_users_total,
+                        n_users_total=rates.size,
                         per_strategy=per_strategy)

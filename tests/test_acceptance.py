@@ -18,7 +18,7 @@ from dronecell import (URBAN, SimConfig, Strategy, max_gain,
 from dronecell.channel import expected_path_loss_db
 from dronecell.cli import main
 from dronecell.placement import min_enclosing_circle
-from dronecell.sim import _run_chunk
+from dronecell.sim import _place_slots, _sample_slots
 
 import oracles
 from one_slot import place
@@ -132,7 +132,8 @@ def _mar_sensitivity_report(static_mean: float, mar_mean: float) -> str:
     quad = oracles.static_mean_rate(THETA, URBAN)
     # how often the MAR solution touches the feasible-region boundary
     cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=2000, seed=SEED)
-    radii = np.hypot(*_run_chunk(cfg, THETA, 0, cfg.n_timeslots)["positions"][Strategy.MAR].T)
+    counts, users = _sample_slots(cfg, 0, cfg.n_timeslots)
+    radii = np.hypot(*_place_slots(users, counts, (Strategy.MAR,), URBAN, THETA)[Strategy.MAR].T)
     at_boundary = int(np.count_nonzero(radii >= 1.0 - 1e-9))
     return "\n".join([
         "--- sensitivity report (out-of-band MAR mean) ---",

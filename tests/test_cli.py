@@ -244,6 +244,40 @@ class TestGoldenFiles:
         assert diag["rows"] == {"ok": 991, "near_degenerate": 0, "no_optimum": 0}
         assert diag["lockstep_passes"] > 40 and diag["scalar_rechecks"] > 991
 
+    # every data file of two small campaigns at seed 7; a change to any of
+    # these digests changes the engine's output and needs a __version__ bump
+    SIMULATE_SHA256 = {
+        "--lambda 5 --timeslots 600": {
+            "rate_cdf_cmp.csv": "5eea3f700be86c70a606a2066c6046bc940291dc2334e7d840e84f6601234e07",
+            "rate_cdf_mar.csv": "6cae780d7efc2b75d505547cea6a83a8399ccc2aea9c6dbf1eff346b50e2e4a3",
+            "rate_cdf_sbc.csv": "db5d07084aceec6730c9f586471f9a881f4cfc64620f26c85f242fb53ba3b35c",
+            "rate_cdf_static.csv": "916b6dfbb5210d52153599ebfe915e2981ecc3d26afea035a1cb713c3da54add",
+            "summary.json": "7b405cd818e62e3adc224a6967c8a90cdda5b036efdb1d2c0797492c417d02b8",
+            "travel_cdf_cmp.csv": "d061d3827464f1b52d4d1b303566beb879fec1b2fb22ceb334744ac44db41a79",
+            "travel_cdf_mar.csv": "f00202f307a7ebe5f62c2b9abbeb12dab74bbbadc95b57080a193096f9616a94",
+            "travel_cdf_sbc.csv": "9c1ddc79396de7c04e42976f5a33fa786e4c63ba48571ba4322c7a569b86f941",
+            "travel_cdf_static.csv": "1a8dd5d23236044510345af05629f2edef24065420c1cfe39f545992d81e2058"},
+        "--fixed-n 3 --timeslots 300": {
+            "rate_cdf_cmp.csv": "c0cc9bf3677fef25874062ed993917b0ebf1da5e6196edb0b3989777bd364061",
+            "rate_cdf_mar.csv": "857bfe010fe5b0ff8f894ff6be0028054bff9920a9b29f7c30c949f10b744332",
+            "rate_cdf_sbc.csv": "3723d55f5a2a3ccc05bdd39d4786afc85f43c94a01e144ba9e7f6401e6a472f3",
+            "rate_cdf_static.csv": "f40abbefe07348d37d7e7e93af36f70c07eb29ba7ae2d3844111a43455402168",
+            "summary.json": "562028905f88a60ac34e245c01eb672bf46a23eca826a13c437e7e0f863720f2",
+            "travel_cdf_cmp.csv": "941fd56a64b010dac73432db9491e6d60c8ed4674f3958bfb860338e09d9b0d1",
+            "travel_cdf_mar.csv": "cd968667501732dea76b9fea4750d65483f06a344f134bd41008e6262106d18d",
+            "travel_cdf_sbc.csv": "efb84d9f2a11d23519d146dc15eb94568beed3dbd9de8c827396beba60cc2091",
+            "travel_cdf_static.csv": "a141601c3b3ccdfcc18d9737f400574105223ec425ae7f313c6c4b09e4949dc1"},
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("run", list(SIMULATE_SHA256))
+    def test_simulate_is_byte_stable(self, tmp_path, monkeypatch, run, workers):
+        if workers == "2":
+            monkeypatch.setattr(sim, "_CHUNK_SLOTS", 100)  # several chunks, so the pool runs
+        assert main(["simulate", *run.split(), "--seed", "7", "--workers", workers,
+                     "--out", str(tmp_path)]) == 0
+        assert digests(tmp_path) == self.SIMULATE_SHA256[run]
+
     @pytest.mark.parametrize("command", ["design", "gain"])
     def test_sweep_status_counts_match_the_csv(self, tmp_path, command):
         # e_r 0.98 ... 0.99999 holds ok, near-degenerate and no-optimum rows

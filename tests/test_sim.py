@@ -8,7 +8,7 @@ import dronecell.sim as sim
 from dronecell import (URBAN, SimConfig, Strategy, rate_function, run_simulation,
                        sample_user_count, sample_users_uniform_disc,
                        solve_edge_angle)
-from dronecell.sim import _nearest_rank, _place_slots, _run_chunk
+from dronecell.sim import _nearest_rank, _place_slots
 
 import oracles
 
@@ -16,11 +16,11 @@ THETA = solve_edge_angle(URBAN)
 
 
 def chunk_slots(cfg):
-    """Per-slot normalized users and the positions of every strategy, read
-    from one engine chunk over the whole run."""
-    chunk = _run_chunk(cfg, THETA, 0, cfg.n_timeslots)
-    users = np.split(chunk["users"], np.cumsum(chunk["counts"])[:-1])
-    return users, chunk["positions"]
+    """Per-slot normalized users and the positions of every strategy, as
+    one engine chunk over the whole run samples and places them."""
+    counts, users = sim._sample_slots(cfg, 0, cfg.n_timeslots)
+    positions = _place_slots(users, counts, cfg.strategies, URBAN, THETA)
+    return np.split(users, np.cumsum(counts)[:-1]), positions
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,14 @@ class TestSampling:
             sample_user_count(5.0, 0, slots)
         with pytest.raises(ValueError, match="timeslots must be non-negative, got -3$"):
             sample_users_uniform_disc(3, 0, slots, np.array([1, 1, 1]))
+
+    @pytest.mark.parametrize("slot", [2**63, 2**64 - 1])
+    def test_streams_reject_a_slot_beyond_int64(self, slot):
+        slots = np.array([3, slot], np.uint64)
+        with pytest.raises(ValueError, match=f"timeslots must be below 2[*][*]63, got {slot}$"):
+            sample_user_count(5.0, 0, slots)
+        with pytest.raises(ValueError, match=f"timeslots must be below 2[*][*]63, got {slot}$"):
+            sample_users_uniform_disc(2, 0, slots, np.array([1, 1]))
 
     def test_slot_streams_are_reproducible(self):
         cfg = SimConfig(scenario=URBAN, lam=4.0, n_timeslots=10, seed=9)
@@ -232,14 +240,16 @@ class TestEngine:
         alone = _place_slots(users, counts, (Strategy.MAR,), URBAN, THETA)
         assert alone[Strategy.MAR].tobytes() == every[Strategy.MAR].tobytes()
 
-    def test_bit_identical_across_sampler_blocks(self, monkeypatch):
-        cfg = SimConfig(scenario=URBAN, lam=3.0, n_timeslots=300, seed=4)
-        runs = []
-        for block in (1, 7, sim._SAMPLE_BLOCK_USERS):
-            monkeypatch.setattr(sim, "_SAMPLE_BLOCK_USERS", block)
-            counts, users = sim._sample_slots(cfg, 0, cfg.n_timeslots)
-            runs.append((counts.tobytes(), users.tobytes()))
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+    @pytest.mark.parametrize("n_timeslots", [20_000, 80_000])
+    def test_memory_per_user_sample_is_bounded(self, n_timeslots):
+        # the chunks keep their users: the run holds rates, not user arrays
+        cfg = SimConfig(scenario=URBAN, lam=5.0, n_timeslots=n_timeslots, seed=3,
+                        strategies=(Strategy.STATIC, Strategy.SBC))
+        tracemalloc.start()
+        stats = run_simulation(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 80 * stats.n_users_total
 
     def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
         # a fake pool: records its size and runs the chunks in this process
