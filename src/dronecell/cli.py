@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channel import rate_function, user_rate
-from .design import NoOptimumError, ideal_directivity, solve_edge_angles
+from .design import NearDegenerateWarning, NoOptimumError, ideal_directivity, solve_edge_angles
 from .params import ScenarioParams, _check_workers
 
 if TYPE_CHECKING:
@@ -283,12 +284,16 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
         seed=int(cfg["seed"]),
         strategies=_parse_strategies(cfg["strategies"]),
     )
-    workers = int(cfg["workers"])
-    stats = run_simulation(sim_config, workers)
+    # a near-degenerate edge angle is one "warning:" line, also under -W error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NearDegenerateWarning)
+        stats = run_simulation(sim_config, int(cfg["workers"]))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
              getattr(stats.per_strategy[s], attr))
             for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
-    if sim._in_process(sim_config, workers) or len(sim_config.strategies) < 2:
+    if stats.processes == 1 or len(sim_config.strategies) < 2:
         _write_cdfs(jobs)
     else:
         # a second process writes one half of the rows while this one writes

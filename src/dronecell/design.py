@@ -156,17 +156,17 @@ def solve_edge_angles(params: ScenarioParams, e_rs) -> EdgeAngleSweep:
     scans = []
     for lo in range(0, e_r.size, _SCAN_BLOCK_ROWS):
         vals = _residual(grid, params, e_r[lo:lo + _SCAN_BLOCK_ROWS, None])  # (rows, grid)
-        # grid points that are roots or open a sign change, row by row in grid order
-        r, c = np.nonzero((vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0.0))
-        scans.append((lo + r, c, vals[r, c], lo + np.flatnonzero(vals[:, -1] == 0.0)))
-    rows, cols, f_lo, last = (np.concatenate(x) for x in zip(*scans))
+        # grid points that are roots or open a sign change, row by row in grid
+        # order; a bracket never opens at the grid end
+        found = vals == 0.0
+        found[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0.0
+        r, c = np.nonzero(found)
+        scans.append((lo + r, c, vals[r, c]))
+    rows, cols, f_lo = (np.concatenate(x) for x in zip(*scans))
     roots = grid[cols]
     bisect = np.flatnonzero(f_lo != 0.0)
     roots[bisect], passes, rechecks = _bisect_lockstep(
         grid[cols[bisect]], grid[cols[bisect] + 1], f_lo[bisect] > 0.0, params, e_r[rows[bisect]])
-    # a row's roots in grid order: its brackets', then a root at the grid end
-    rows = np.concatenate([rows, last])
-    roots = np.concatenate([roots, np.full(last.size, grid[-1])])
     count = np.bincount(rows, minlength=e_r.size)
     theta = np.full(e_r.size, np.nan)
     single = count[rows] == 1

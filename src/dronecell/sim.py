@@ -113,7 +113,6 @@ class SimConfig:
 class StrategyStats:
     """Pooled per-user rate and per-slot travel statistics of one strategy."""
 
-    strategy: Strategy
     n_user_samples: int
     mean_rate: float
     p5_rate: float
@@ -133,18 +132,12 @@ class SummaryStats:
     n_timeslots: int
     n_users_total: int
     per_strategy: dict[Strategy, StrategyStats]
+    processes: int  # ran the chunks: 1 is the calling process alone, more a pool of that size
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-#
-# Slot t draws its user count from the numpy stream
-# Generator(Philox(SeedSequence(seed, spawn_key=(t, 0)))) and its user
-# positions from the one with spawn_key (t, 1). SeedSequence's hash mix,
-# vectorised over many slots, gives each slot's Philox key without building
-# a SeedSequence per slot; one numpy generator, set to each key in turn,
-# then draws what that slot's stream returns.
 
 _MASK32 = 0xFFFFFFFF
 # numpy.random.SeedSequence: hash constants and pool size
@@ -340,13 +333,11 @@ def _nearest_rank(sorted_vals: np.ndarray, pct: float) -> float:
     return float(sorted_vals[min(rank, n) - 1])
 
 
-def _strategy_stats(strategy: Strategy, rates: np.ndarray, beyond: int,
-                    travel: np.ndarray) -> StrategyStats:
+def _strategy_stats(rates: np.ndarray, beyond: int, travel: np.ndarray) -> StrategyStats:
     n = rates.size
     rates_sorted = np.sort(rates)
     travel_sorted = np.sort(travel)
     return StrategyStats(
-        strategy=strategy,
         n_user_samples=int(n),
         mean_rate=float(np.mean(rates)) if n else math.nan,
         p5_rate=_nearest_rank(rates_sorted, 5.0),
@@ -358,29 +349,24 @@ def _strategy_stats(strategy: Strategy, rates: np.ndarray, beyond: int,
     )
 
 
-def _in_process(config: SimConfig, workers: int) -> bool:
-    """Whether a run of config on workers runs in this process alone: it
-    has one worker or one chunk."""
-    return workers == 1 or config.n_timeslots <= _CHUNK_SLOTS
-
-
 def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     """Run the campaign and pool the statistics.
 
-    The chunks run in this process for one worker or one chunk, else on a
-    process pool of min(workers, chunks) processes that this call opens
-    and closes. Identical config and seed give bit-identical results for
-    any worker count.
+    The chunks run on min(workers, chunks) processes: this one alone when
+    that is 1, else a process pool of that size that this call opens and
+    closes. Identical config and seed give bit-identical results for any
+    worker count.
     """
     _check_workers(workers)
     theta = solve_edge_angle(config.scenario)
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]
     tasks = [(config, theta, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    if _in_process(config, workers):
+    processes = min(workers, len(tasks))
+    if processes == 1:
         chunks = [_run_chunk(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_run_chunk, *zip(*tasks)))
 
     per_strategy: dict[Strategy, StrategyStats] = {}
@@ -390,9 +376,10 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
         rates, pos = np.concatenate(rates), np.concatenate(pos)
         prev = np.vstack([np.zeros(2), pos[:-1]])
         travel = np.hypot(pos[:, 0] - prev[:, 0], pos[:, 1] - prev[:, 1])
-        per_strategy[s] = _strategy_stats(s, rates, sum(beyond), travel)
+        per_strategy[s] = _strategy_stats(rates, sum(beyond), travel)
 
     return SummaryStats(config=config, theta_edge_deg=theta,
                         n_timeslots=config.n_timeslots,
                         n_users_total=rates.size,
-                        per_strategy=per_strategy)
+                        per_strategy=per_strategy,
+                        processes=processes)

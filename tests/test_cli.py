@@ -30,6 +30,8 @@ GAIN_HEADER = ["e_r", "theta_edge_deg", "max_rate_at_kappa0",
                "rate_at_kappa1", "status"]
 SIM_FILES = [f"{kind}_cdf_{s}.csv" for kind in ("rate", "travel")
              for s in ("static", "sbc", "mar", "cmp")]
+NEAR_DEGENERATE_LINE = ("warning: optimal edge angle 86.477 deg exceeds 85.0 deg; "
+                        "geometry is near-degenerate\n")
 
 
 def read_csv(path):
@@ -175,6 +177,30 @@ class TestSimulate:
         n = strategies.count(",") + 1
         assert submitted == ["_run_chunk"] * 4 + ["_write_cdfs"] * (n > 1)
         assert len(digests(a)) == 2 * n + 1 and digests(a) == digests(b)
+
+    def test_near_degenerate_angle_across_workers(self, tmp_path, monkeypatch, capsys):
+        # e_r 0.999 puts the edge at 86.48 deg; 3 chunks of 20 slots, so
+        # --workers 2 runs a pool of 2 and a second process for the CDF rows
+        sizes = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 20)
+        runs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["simulate", "--er", "0.999", "--timeslots", "50", "--seed", "3",
+                         "--workers", workers, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == NEAR_DEGENERATE_LINE
+            runs[workers] = digests(out)
+        assert sizes == [2, 1]
+        assert len(runs["1"]) == 9 and runs["1"] == runs["2"]
+        theta = json.loads((tmp_path / "2" / "summary.json").read_text())["cell"]["theta_edge_deg"]
+        assert theta == pytest.approx(86.47665182133767, abs=1e-6)
 
     def test_cdf_halves_balance_rows(self):
         # three rate CDFs of 5 rows and three travel CDFs of 1: a split by
@@ -607,6 +633,16 @@ def test_commands_raise_no_warning(tmp_path, scenario):
                                *scenario, "--out", str(tmp_path / command[0])],
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, ""), command
+
+
+def test_near_degenerate_warning_is_not_an_error(tmp_path):
+    # under -W error the warning is still the one line, and the run completes
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(dronecell.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "dronecell.cli", "simulate",
+                           "--er", "0.999", "--timeslots", "50", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, NEAR_DEGENERATE_LINE)
+    assert len(digests(tmp_path)) == 9
 
 
 @pytest.mark.skipif(shutil.which("dronecell") is None,

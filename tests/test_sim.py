@@ -29,6 +29,29 @@ def sim20k():
     return run_simulation(cfg)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The sizes of the process pools that sim opens, in order; a fake
+    pool stands in for each and runs its chunks in this process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 def draws_in_pieces(draw, n, piece=1 << 16):
     """draw(slots) over slots 0..n-1, a piece at a time, concatenated."""
     return np.concatenate([draw(np.arange(lo, min(lo + piece, n))) for lo in range(0, n, piece)])
@@ -251,29 +274,23 @@ class TestEngine:
         tracemalloc.stop()
         assert peak <= 80 * stats.n_users_total
 
-    def test_pool_never_larger_than_the_chunk_count(self, monkeypatch):
-        # a fake pool: records its size and runs the chunks in this process
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_larger_than_the_chunk_count(self, inline_pool):
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS,
                         seed=2, strategies=(Strategy.STATIC,))
         stats = run_simulation(cfg, workers=sim._MAX_WORKERS)
-        assert sizes == [2]
+        assert inline_pool == [2]
         assert stats.n_timeslots == cfg.n_timeslots
+
+    @pytest.mark.parametrize("workers, n_timeslots, processes", [
+        (1, 30, 1), (2, 10, 1), (2, 30, 2), (8, 30, 3)])
+    def test_reports_the_process_count(self, monkeypatch, inline_pool, workers, n_timeslots,
+                                       processes):
+        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 10)
+        cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=n_timeslots, seed=2,
+                        strategies=(Strategy.STATIC,))
+        stats = run_simulation(cfg, workers=workers)
+        assert stats.processes == processes
+        assert inline_pool == ([] if processes == 1 else [processes])
 
     @pytest.mark.parametrize("workers", [0, sim._MAX_WORKERS + 1, 10**9])
     def test_rejects_a_worker_count_out_of_bounds(self, monkeypatch, workers):
