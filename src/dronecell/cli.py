@@ -293,18 +293,7 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
     jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
              getattr(stats.per_strategy[s], attr))
             for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
-    if stats.processes == 1 or len(sim_config.strategies) < 2:
-        _write_cdfs(jobs)
-    else:
-        # a second process writes one half of the rows while this one writes
-        # the other; it is handed its half at its start, which a forked
-        # process inherits without a pickled copy
-        remote, local = _split_rows(jobs)
-        with sim.ProcessPoolExecutor(max_workers=1, initializer=_hold_jobs,
-                                     initargs=(remote,)) as pool:
-            pending = pool.submit(_write_cdfs)
-            _write_cdfs(local)
-            pending.result()
+    _write_cdfs(jobs)
 
     theta = stats.theta_edge_deg
     summary = {
@@ -353,40 +342,16 @@ _CDF_KINDS = (("rate", "rate_bits_per_symbol", "rate_samples"),
               ("travel", "distance_over_dmax", "travel_samples"))
 
 
-def _split_rows(jobs: list) -> tuple[list, list]:
-    """CDF jobs (path, value column, samples) in two halves of near-equal
-    rows: the longest job first, each to the half with fewer rows so far."""
-    halves, rows = ([], []), [0, 0]
-    for job in sorted(jobs, key=lambda job: -len(job[2])):
-        i = int(rows[1] < rows[0])
-        halves[i].append(job)
-        rows[i] += len(job[2])
-    return halves
-
-
-# the CDF jobs this process was handed at its start, when it is the pool
-# process of cmd_simulate
-_held_jobs: list = []
-
-
-def _hold_jobs(jobs: list) -> None:
-    global _held_jobs
-    _held_jobs = jobs
-
-
-def _write_cdfs(jobs: list | None = None) -> None:
+def _write_cdfs(jobs: list) -> None:
     """Write one empirical CDF per job (path, value column, sorted samples):
     a header, then a "value,cdf" row per sample whose cdf is its rank over
-    n, appended to the empty file path (see _OutputSet.create). The jobs
-    default to those this process was handed at its start.
+    n, appended to the empty file path (see _OutputSet.create).
 
     The files of one sample count n are written in lockstep, a block of
     rows at a time, and each block's cdf text is formatted once for all
     of them. A float64 rank / n is the same IEEE division as the Python
     (i + 1) / n, and a Python float's repr is its str().
     """
-    if jobs is None:
-        jobs = _held_jobs
     for n in dict.fromkeys(len(samples) for _, _, samples in jobs):
         group = [job for job in jobs if len(job[2]) == n]
         with contextlib.ExitStack() as stack:

@@ -274,7 +274,7 @@ def _solve_block(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np.nd
 
 
 def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
-                   starts: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                   starts: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton ascent of sum_i r(k_i), k_i = |x - u_i|, from starts
     x0 (M, 2) against users (M, N, 2), whose rows hold consecutive
     instances of `starts` starts each.
@@ -345,9 +345,7 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
             moved[todo[ok]] = True
             todo = todo[~ok]
             t *= 0.5
-        active = active[moved]
-        if starts > 1:
-            active = _retire_met(x, active, live, starts)
+        active = _retire_met(x, active[moved], live, starts)
     return x, values
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import rate_derivatives, rate_function
 from .design import solve_edge_angle
-from .params import _MAX_WORKERS, ScenarioParams, _check_workers
+from .params import ScenarioParams, _check_workers
 from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
 _CHUNK_SLOTS = 4096
@@ -34,8 +34,6 @@ _MAX_USERS_PER_SLOT = 1000    # bound on lam and fixed_n
 _MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots, and on n_timeslots x users per slot
 _DRAW_COUNT = 0
 _DRAW_POSITION = 1
-
-ALL_STRATEGIES = (Strategy.STATIC, Strategy.SBC, Strategy.MAR, Strategy.CMP)
 
 
 def _as_int(name: str, value) -> int:
@@ -74,7 +72,7 @@ class SimConfig:
     fixed_n: Optional[int] = None
     n_timeslots: int = 100_000
     seed: int = 0
-    strategies: tuple[Strategy, ...] = ALL_STRATEGIES
+    strategies: tuple[Strategy, ...] = tuple(Strategy)
 
     def __post_init__(self) -> None:
         strategies = tuple(Strategy(s) for s in self.strategies)
@@ -127,7 +125,6 @@ class StrategyStats:
 class SummaryStats:
     """Result of a simulation campaign."""
 
-    config: SimConfig
     theta_edge_deg: float
     n_timeslots: int
     n_users_total: int
@@ -378,7 +375,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
         travel = np.hypot(pos[:, 0] - prev[:, 0], pos[:, 1] - prev[:, 1])
         per_strategy[s] = _strategy_stats(rates, sum(beyond), travel)
 
-    return SummaryStats(config=config, theta_edge_deg=theta,
+    return SummaryStats(theta_edge_deg=theta,
                         n_timeslots=config.n_timeslots,
                         n_users_total=rates.size,
                         per_strategy=per_strategy,

@@ -66,7 +66,7 @@ def refined(starts: np.ndarray, users: np.ndarray, rate, rate_terms
     projected onto the cell disc, and their objectives (B, S)."""
     b, s, _ = starts.shape
     finals, _ = _newton_ascent(starts.reshape(-1, 2), np.repeat(users, s, axis=0), rate,
-                               rate_terms)
+                               rate_terms, starts=1)
     finals /= np.maximum(np.hypot(finals[:, 0], finals[:, 1]), 1.0)[:, None]
     finals = finals.reshape(b, s, 2)
     return finals, _aggregate_rates(finals, users, rate)

@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import shutil
@@ -23,6 +22,7 @@ from dronecell import URBAN, SimConfig, run_simulation
 from dronecell import cli
 from dronecell import sim
 from dronecell.cli import _resolve_config, build_parser, main
+from dronecell.params import _MAX_WORKERS
 
 DESIGN_HEADER = ["e_r", "theta_edge_deg", "ideal_directivity_db",
                  "altitude_over_dmax", "status"]
@@ -43,6 +43,20 @@ def read_csv(path):
 def digests(out_dir, skip=("manifest.json",)):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.iterdir()) if p.name not in skip}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each real pool that sim opens, in order."""
+    sizes = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
+    return sizes
 
 
 def test_documented_urban_defaults():
@@ -151,8 +165,8 @@ class TestSimulate:
         ids=["mar", "static,cmp", "sbc,mar,cmp", "static,sbc,mar,cmp", "static,sbc,mar,cmp-lam20"])
     def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch, strategies, lam):
         # 400 slots in 4 chunks, so --workers 2 runs them on a real pool, and
-        # with 2 or more strategies a second process writes part of the CDFs;
-        # at lambda 20 the pool's processes draw the counts through numpy
+        # this process writes every CDF; at lambda 20 the pool's processes
+        # draw the counts through numpy
         submitted = []
 
         class SpyPool(ProcessPoolExecutor):
@@ -175,20 +189,13 @@ class TestSimulate:
         assert submitted == []
         assert main(common + ["--workers", "2", "--out", str(b)]) == 0
         n = strategies.count(",") + 1
-        assert submitted == ["_run_chunk"] * 4 + ["_write_cdfs"] * (n > 1)
+        assert submitted == ["_run_chunk"] * 4
         assert len(digests(a)) == 2 * n + 1 and digests(a) == digests(b)
 
-    def test_near_degenerate_angle_across_workers(self, tmp_path, monkeypatch, capsys):
+    def test_near_degenerate_angle_across_workers(self, tmp_path, monkeypatch, capsys,
+                                                  pool_sizes):
         # e_r 0.999 puts the edge at 86.48 deg; 3 chunks of 20 slots, so
-        # --workers 2 runs a pool of 2 and a second process for the CDF rows
-        sizes = []
-
-        class SpyPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", SpyPool)
+        # --workers 2 runs a pool of 2, and no other process
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 20)
         runs = {}
         for workers in ("1", "2"):
@@ -197,18 +204,10 @@ class TestSimulate:
                          "--workers", workers, "--out", str(out)]) == 0
             assert capsys.readouterr().err == NEAR_DEGENERATE_LINE
             runs[workers] = digests(out)
-        assert sizes == [2, 1]
+        assert pool_sizes == [2]
         assert len(runs["1"]) == 9 and runs["1"] == runs["2"]
         theta = json.loads((tmp_path / "2" / "summary.json").read_text())["cell"]["theta_edge_deg"]
         assert theta == pytest.approx(86.47665182133767, abs=1e-6)
-
-    def test_cdf_halves_balance_rows(self):
-        # three rate CDFs of 5 rows and three travel CDFs of 1: a split by
-        # strategy gives 12 rows against 6, the split by rows 10 against 8
-        jobs = [(i, "v", np.zeros(5 if i < 3 else 1)) for i in range(6)]
-        remote, local = cli._split_rows(jobs)
-        assert sorted(job[0] for job in remote + local) == list(range(6))
-        assert sorted(sum(len(job[2]) for job in half) for half in (remote, local)) == [8, 10]
 
     def test_single_user_slots_collapse_dynamic_strategies(self, tmp_path):
         assert main(["simulate", "--fixed-n", "1", "--timeslots", "200",
@@ -551,28 +550,24 @@ class TestErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["rate_cdf_mar.csv"]
         assert (tmp_path / "rate_cdf_mar.csv").is_dir()
 
-    def test_write_error_in_a_pool_process(self, tmp_path, capsys, monkeypatch):
-        # two chunks, so the CDF files are split; forked after the patch, the
-        # second process writes its half's headers through it
-        parent, line = os.getpid(), cli._csv_line
-        fork_pool = functools.partial(ProcessPoolExecutor,
-                                      mp_context=multiprocessing.get_context("fork"))
-        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 50)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", fork_pool)
+    def test_write_error_after_a_pooled_run(self, tmp_path, capsys, monkeypatch, pool_sizes):
+        # two chunks on a pool of 2; this process then fails on a CDF header
+        line = cli._csv_line
 
-        def failing_in_the_pool(cells):
-            if os.getpid() != parent:
+        def failing_on_a_cdf_header(cells):
+            if cells[-1] == "cdf":
                 raise OSError("disk full")
             return line(cells)
 
-        monkeypatch.setattr(cli, "_csv_line", failing_in_the_pool)
+        monkeypatch.setattr(sim, "_CHUNK_SLOTS", 50)
+        monkeypatch.setattr(cli, "_csv_line", failing_on_a_cdf_header)
         rc = main(["simulate", "--timeslots", "100", "--workers", "2",
                    "--out", str(tmp_path)])
-        assert rc == 2
+        assert rc == 2 and pool_sizes == [2]
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("workers", ["0", str(sim._MAX_WORKERS + 1), "1000000000"])
+    @pytest.mark.parametrize("workers", ["0", str(_MAX_WORKERS + 1), "1000000000"])
     def test_worker_count_out_of_bounds(self, tmp_path, capsys, monkeypatch, workers):
         def no_pool(max_workers):
             raise AssertionError("no process may start")
@@ -582,7 +577,7 @@ class TestErrors:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: workers must be in [1, {sim._MAX_WORKERS}], got {workers}\n")
+            f"error: workers must be in [1, {_MAX_WORKERS}], got {workers}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "design", "gain"])
@@ -592,7 +587,7 @@ class TestErrors:
         rc = main([command, "--config", str(conf), "--out", str(tmp_path / "out")])
         assert rc == 2 and not (tmp_path / "out").exists()
         assert capsys.readouterr().err == (
-            f"error: workers must be in [1, {sim._MAX_WORKERS}], got 1000000000\n")
+            f"error: workers must be in [1, {_MAX_WORKERS}], got 1000000000\n")
 
     def test_one_chunk_runs_in_this_process(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -149,12 +149,12 @@ def test_keeps_up_with_the_ascent_from_the_sbc_center():
 def test_met_starts_retire_within_their_instance_only(monkeypatch):
     users = np.array([[[-0.6, 0.1], [0.2, 0.5], [0.4, -0.7]]] * 2)
     x0 = np.array([[0.9, 0.0], [0.9, 0.0]])
-    apart, _ = _newton_ascent(x0, users, RATE, RATE_TERMS)  # two instances of 1 start
+    apart, _ = _newton_ascent(x0, users, RATE, RATE_TERMS, starts=1)  # two instances of 1 start
     one, _ = _newton_ascent(x0, users, RATE, RATE_TERMS, starts=2)
     assert np.array_equal(apart[0], apart[1]) and np.array_equal(one[0], apart[0])
     # the second start met the first after one step and stopped there
     monkeypatch.setattr(placement, "_MAX_ITER", 1)
-    step, _ = _newton_ascent(x0[:1], users[:1], RATE, RATE_TERMS)
+    step, _ = _newton_ascent(x0[:1], users[:1], RATE, RATE_TERMS, starts=1)
     assert np.array_equal(one[1], step[0]) and not np.array_equal(one[1], one[0])
 
 
@@ -190,14 +190,15 @@ def test_objectives_are_the_finals_scores():
             assert np.array_equal(val, _aggregate_rates(pos[:, None], users, rate)[:, 0])
             # every start's objective too, from starts beside each user: these often snap onto it
             rows = np.repeat(users, users.shape[1], axis=0)
-            x, f = _newton_ascent((users + 5e-4).reshape(-1, 2), rows, rate, rate_terms)
+            x, f = _newton_ascent((users + 5e-4).reshape(-1, 2), rows, rate, rate_terms,
+                                  starts=1)
             assert np.array_equal(f, _aggregate_rates(x[:, None], rows, rate)[:, 0])
 
 
 def test_finals_the_projection_moves_are_scored_again(monkeypatch):
     ascent = placement._newton_ascent
 
-    def outside(x0, users, rate, rate_terms, starts=1):
+    def outside(x0, users, rate, rate_terms, starts):
         # every other final pushed out of the disc, its objective left as it was
         x, f = ascent(x0, users, rate, rate_terms, starts)
         x[::2] = (0.0, 2.0)

@@ -8,6 +8,7 @@ import dronecell.sim as sim
 from dronecell import (URBAN, SimConfig, Strategy, rate_function, run_simulation,
                        sample_user_count, sample_users_uniform_disc,
                        solve_edge_angle)
+from dronecell.params import _MAX_WORKERS
 from dronecell.sim import _nearest_rank, _place_slots
 
 import oracles
@@ -277,7 +278,7 @@ class TestEngine:
     def test_pool_never_larger_than_the_chunk_count(self, inline_pool):
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS,
                         seed=2, strategies=(Strategy.STATIC,))
-        stats = run_simulation(cfg, workers=sim._MAX_WORKERS)
+        stats = run_simulation(cfg, workers=_MAX_WORKERS)
         assert inline_pool == [2]
         assert stats.n_timeslots == cfg.n_timeslots
 
@@ -292,14 +293,14 @@ class TestEngine:
         assert stats.processes == processes
         assert inline_pool == ([] if processes == 1 else [processes])
 
-    @pytest.mark.parametrize("workers", [0, sim._MAX_WORKERS + 1, 10**9])
+    @pytest.mark.parametrize("workers", [0, _MAX_WORKERS + 1, 10**9])
     def test_rejects_a_worker_count_out_of_bounds(self, monkeypatch, workers):
         def no_pool(max_workers):
             raise AssertionError("no process may start")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS, seed=2)
-        with pytest.raises(ValueError, match=f"workers must be in \\[1, {sim._MAX_WORKERS}\\]"):
+        with pytest.raises(ValueError, match=f"workers must be in \\[1, {_MAX_WORKERS}\\]"):
             run_simulation(cfg, workers=workers)
 
     def test_empty_slot_returns_to_center(self):
