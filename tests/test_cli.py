@@ -365,6 +365,22 @@ class TestGoldenFiles:
         assert all(b >= a for a, b in zip(cdf, cdf[1:]))
         assert cdf[-1] == 1.0
 
+    def test_cdf_files_of_mixed_lengths_keep_their_own_rows(self, tmp_path):
+        # three rate CDFs of 5 rows and three travel CDFs of 1, interleaved:
+        # one call writes each file as a call of its own job alone would
+        rng = np.random.default_rng(4)
+        jobs = [(tmp_path / f"job{i}.csv", "rate" if i % 2 else "travel",
+                 np.sort(rng.random(5 if i % 2 else 1))) for i in range(6)]
+        cli._write_cdfs(jobs)
+        for i, (path, column, samples) in enumerate(jobs):
+            alone = tmp_path / f"alone{i}.csv"
+            cli._write_cdfs([(alone, column, samples)])
+            assert path.read_bytes() == alone.read_bytes()
+            header, rows = read_csv(path)
+            assert header == [column, "cdf"]
+            assert [float(r[0]) for r in rows] == samples.tolist()
+        assert len(list(tmp_path.iterdir())) == 12
+
     def test_cdf_writer_memory_does_not_grow_with_the_samples(self, tmp_path):
         # the text of one block at a time, never of a whole file
         def peak_bytes(n):
