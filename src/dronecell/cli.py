@@ -28,25 +28,35 @@ from .design import NearDegenerateWarning, NoOptimumError, ideal_directivity, so
 from .params import ScenarioParams, _check_workers
 
 if TYPE_CHECKING:
-    from .placement import Strategy
     from .sim import SimConfig, SummaryStats
 
-_DEFAULTS = {
-    "a": 9.61,
-    "b": 0.16,
-    "eta_los": 1.0,
-    "eta_nlos": 20.0,
-    "freq_hz": 2e9,
-    "er": 0.6,
-    "lambda": 5.0,
-    "fixed_n": None,
-    "timeslots": 100_000,
-    "seed": 0,
-    "strategies": "static,sbc,mar,cmp",
-    "workers": 1,
-    "er_min": 0.0,
-    "er_max": 0.9,
-    "er_step": 0.05,
+_COMMANDS = {
+    "design": "sweep the efficiency exponent, tabulate cell geometry",
+    "gain": "sweep the efficiency exponent, tabulate best-case rates",
+    "simulate": "run the Monte-Carlo campaign",
+}
+_ALL, _SWEEPS, _SIM = tuple(_COMMANDS), ("design", "gain"), ("simulate",)
+
+# one row per config key, which a config file of any command may set: the
+# flag, the flag's type, the key's default (a None default also admits
+# null), the commands that take the flag, and the flag's help
+_OPTIONS = {
+    "a": ("--scenario-a", float, 9.61, _ALL, None),
+    "b": ("--scenario-b", float, 0.16, _ALL, None),
+    "eta_los": ("--eta-los", float, 1.0, _ALL, None),
+    "eta_nlos": ("--eta-nlos", float, 20.0, _ALL, None),
+    "freq_hz": ("--freq-hz", float, 2e9, _ALL, None),
+    "er": ("--er", float, 0.6, _SIM, None),
+    "lambda": ("--lambda", float, 5.0, _SIM, "mean users per timeslot (Poisson)"),
+    "fixed_n": ("--fixed-n", int, None, _SIM, "fixed user count overriding the Poisson draw"),
+    "timeslots": ("--timeslots", int, 100_000, _SIM, None),
+    "seed": ("--seed", int, 0, _SIM, None),
+    "strategies": ("--strategies", str, "static,sbc,mar,cmp", _SIM,
+                   "comma list out of static,sbc,mar,cmp"),
+    "workers": ("--workers", int, 1, _SIM, "parallel workers; never affects the outputs"),
+    "er_min": ("--er-min", float, 0.0, _SWEEPS, None),
+    "er_max": ("--er-max", float, 0.9, _SWEEPS, None),
+    "er_step": ("--er-step", float, 0.05, _SWEEPS, None),
 }
 
 # the largest e_r sweep; the row list is built before any row is solved
@@ -59,51 +69,24 @@ _CDF_BLOCK_ROWS = 1024
 # bytes per read when hashing an emitted file
 _DIGEST_READ_BYTES = 1 << 20
 
-# config keys that hold counts; every key but "strategies" holds a number
-_INT_KEYS = ("fixed_n", "timeslots", "seed", "workers")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dronecell",
         description="Drone small-cell geometry design and repositioning simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, help_text in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, help="flat JSON config; flags override")
-        p.add_argument("--scenario-a", type=float, dest="a")
-        p.add_argument("--scenario-b", type=float, dest="b")
-        p.add_argument("--eta-los", type=float, dest="eta_los")
-        p.add_argument("--eta-nlos", type=float, dest="eta_nlos")
-        p.add_argument("--freq-hz", type=float, dest="freq_hz")
         p.add_argument("--out", type=Path, default=Path("out"))
-
-    for name, help_text in (("design", "sweep the efficiency exponent, tabulate cell geometry"),
-                            ("gain", "sweep the efficiency exponent, tabulate best-case rates")):
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        p.add_argument("--er-min", type=float, dest="er_min")
-        p.add_argument("--er-max", type=float, dest="er_max")
-        p.add_argument("--er-step", type=float, dest="er_step")
-
-    p = sub.add_parser("simulate", help="run the Monte-Carlo campaign")
-    add_common(p)
-    p.add_argument("--er", type=float, dest="er")
-    p.add_argument("--lambda", type=float, dest="lambda",
-                   help="mean users per timeslot (Poisson)")
-    p.add_argument("--fixed-n", type=int, dest="fixed_n",
-                   help="fixed user count overriding the Poisson draw")
-    p.add_argument("--timeslots", type=int, dest="timeslots")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--strategies", type=str, dest="strategies",
-                   help="comma list out of static,sbc,mar,cmp")
-    p.add_argument("--workers", type=int, dest="workers",
-                   help="parallel workers; never affects the outputs")
+        for key, (flag, flag_type, _, commands, flag_help) in _OPTIONS.items():
+            if command in commands:
+                p.add_argument(flag, type=flag_type, dest=key, help=flag_help)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, _, default, _, _) in _OPTIONS.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -128,15 +111,17 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _check_config_type(key: str, value) -> None:
+    _, flag_type, default, _, _ = _OPTIONS[key]
     # type(), not isinstance(): JSON true and false are Python ints
-    if key == "strategies":
+    if flag_type is str:
         ok = type(value) is str or (type(value) is list and all(type(v) is str for v in value))
         want = "a string or a list of strings"
-    elif key in _INT_KEYS:
-        ok = type(value) is int or (key == "fixed_n" and value is None)
-        want = "an integer or null" if key == "fixed_n" else "an integer"
+    elif flag_type is int:
+        ok, want = type(value) is int, "an integer"
     else:
         ok, want = type(value) in (int, float), "a number"
+    if default is None:
+        ok, want = ok or value is None, f"{want} or null"
     if not ok:
         raise ValueError(f"config key {key} must be {want}, got {json.dumps(value)}")
 
@@ -146,20 +131,6 @@ def _scenario(cfg: dict) -> ScenarioParams:
                           eta_los=float(cfg["eta_los"]),
                           eta_nlos=float(cfg["eta_nlos"]),
                           freq_hz=float(cfg["freq_hz"]), e_r=float(cfg["er"]))
-
-
-def _parse_strategies(value) -> tuple[Strategy, ...]:
-    from .placement import Strategy
-
-    if isinstance(value, str):
-        names = [s.strip() for s in value.split(",") if s.strip()]
-    else:
-        names = list(value)
-    try:
-        return tuple(Strategy(n) for n in names)
-    except ValueError:
-        valid = ", ".join(s.value for s in Strategy)
-        raise ValueError(f"strategies must be a comma list out of: {valid}") from None
 
 
 def _er_sweep(cfg: dict) -> list[float]:
@@ -275,19 +246,21 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
     from . import sim
 
     scenario = _scenario(cfg)
-    fixed_n = cfg["fixed_n"]
+    strategies = cfg["strategies"]
+    if isinstance(strategies, str):
+        strategies = [s.strip() for s in strategies.split(",") if s.strip()]
     sim_config = sim.SimConfig(
         scenario=scenario,
-        lam=float(cfg["lambda"]),
-        fixed_n=None if fixed_n is None else int(fixed_n),
-        n_timeslots=int(cfg["timeslots"]),
-        seed=int(cfg["seed"]),
-        strategies=_parse_strategies(cfg["strategies"]),
+        lam=float(cfg["lambda"]),  # a JSON int would print as 2, not 2.0, in summary.json
+        fixed_n=cfg["fixed_n"],
+        n_timeslots=cfg["timeslots"],
+        seed=cfg["seed"],
+        strategies=strategies,
     )
     # a near-degenerate edge angle is one "warning:" line, also under -W error
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NearDegenerateWarning)
-        stats = run_simulation(sim_config, int(cfg["workers"]))
+        stats = run_simulation(sim_config, cfg["workers"])
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
@@ -311,19 +284,17 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
             "seed": sim_config.seed,
         },
         "strategies": {
-            s.value: {
-                "mean_rate": _jsonable(stats.per_strategy[s].mean_rate),
-                "p5_rate": _jsonable(stats.per_strategy[s].p5_rate),
-                "frac_rate_above_1": _jsonable(stats.per_strategy[s].frac_rate_above_1),
-                "frac_kappa_above_1": _jsonable(stats.per_strategy[s].frac_kappa_above_1),
-                "mean_travel": _jsonable(stats.per_strategy[s].mean_travel),
-                "n_user_samples": stats.per_strategy[s].n_user_samples,
-            }
+            s.value: {f: _jsonable(getattr(stats.per_strategy[s], f)) for f in _SUMMARY_FIELDS}
             for s in sim_config.strategies
         },
     }
     out.write_json("summary.json", summary)
     out.manifest("simulate", cfg)
+
+
+# the StrategyStats fields of each strategy's block in summary.json
+_SUMMARY_FIELDS = ("mean_rate", "p5_rate", "frac_rate_above_1", "frac_kappa_above_1",
+                   "mean_travel", "n_user_samples")
 
 
 def _jsonable(x: float):

@@ -1,10 +1,13 @@
-"""Scenario parameter set for the air-to-ground propagation model, and the
-bound on the worker processes of a run."""
+"""Scenario parameter set for the air-to-ground propagation model, the
+integer check of counts and seeds, and the bound on the worker processes
+of a run."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -27,9 +30,20 @@ _MAX_LOSS_GAP_DB = 1000.0
 _MAX_WORKERS = 64  # bound on the worker processes of a run
 
 
-def _check_workers(workers: int) -> None:
+def _as_int(name: str, value) -> int:
+    """value as a Python int; a bool or a non-integer is rejected."""
+    # a bool is an int to Python, but never a count or a seed
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_workers(workers) -> int:
+    """workers as a Python int in [1, _MAX_WORKERS]."""
+    workers = _as_int("workers", workers)
     if not 1 <= workers <= _MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {_MAX_WORKERS}], got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)

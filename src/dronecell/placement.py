@@ -38,6 +38,19 @@ class Strategy(str, Enum):
     CMP = "cmp"
 
 
+def _point_sets(name: str, points) -> np.ndarray:
+    """points as a float (B, N, 2) array with B, N >= 1 and finite entries."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != 2:
+        raise ValueError(f"{name} must have shape (B, N, 2), got {pts.shape}")
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    # min and max carry any NaN, without a temporary the size of the input
+    if not np.isfinite([pts.min(), pts.max()]).all():
+        raise ValueError("coordinates must be finite")
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # Smallest enclosing circle (exact, batched active-set iteration)
 # ---------------------------------------------------------------------------
@@ -56,14 +69,7 @@ def min_enclosing_circle(points) -> tuple[np.ndarray, np.ndarray]:
     instance is solved independently, so results do not depend on how
     instances are batched together.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3 or pts.shape[2] != 2:
-        raise ValueError(f"points must have shape (B, N, 2), got {pts.shape}")
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    # min and max carry any NaN, without a temporary the size of the input
-    if not np.isfinite([pts.min(), pts.max()]).all():
-        raise ValueError("coordinates must be finite")
+    pts = _point_sets("points", points)
     b, n, _ = pts.shape
     size = max(1, _ASCENT_BLOCK // n)
     centers, radii = np.empty((b, 2)), np.empty(b)
@@ -226,7 +232,7 @@ def solve_mar_batch(users: np.ndarray, rate, rate_terms) -> tuple[np.ndarray, np
     refined point. Each instance is solved independently, so results do
     not depend on how instances are batched together.
     """
-    users = np.asarray(users, dtype=float)
+    users = _point_sets("users", users)
     b, n, _ = users.shape
     size = max(1, _ASCENT_BLOCK // (n * (n + 2)))  # instances of N + 2 starts
     positions, values = np.empty((b, 2)), np.empty(b)

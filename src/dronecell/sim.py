@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import rate_derivatives, rate_function
 from .design import solve_edge_angle
-from .params import ScenarioParams, _check_workers
+from .params import ScenarioParams, _as_int, _check_workers
 from .placement import Strategy, min_enclosing_circle, solve_mar_batch
 
 _CHUNK_SLOTS = 4096
@@ -34,14 +34,6 @@ _MAX_USERS_PER_SLOT = 1000    # bound on lam and fixed_n
 _MAX_USER_SAMPLES = 50_000_000  # bound on n_timeslots, and on n_timeslots x users per slot
 _DRAW_COUNT = 0
 _DRAW_POSITION = 1
-
-
-def _as_int(name: str, value) -> int:
-    """value as a Python int; a bool or a non-integer is rejected."""
-    # a bool is an int to Python, but never a count or a seed
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_ints(name: str, values) -> np.ndarray:
@@ -75,7 +67,12 @@ class SimConfig:
     strategies: tuple[Strategy, ...] = tuple(Strategy)
 
     def __post_init__(self) -> None:
-        strategies = tuple(Strategy(s) for s in self.strategies)
+        valid = [s.value for s in Strategy]
+        for name in self.strategies:
+            if name not in valid:
+                raise ValueError(f"unknown strategy {name!r}: strategies must be out of "
+                                 f"{', '.join(valid)}")
+        strategies = tuple(map(Strategy, self.strategies))
         if len(set(strategies)) != len(strategies):
             raise ValueError("duplicate strategies requested")
         if not strategies:
@@ -354,7 +351,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
     closes. Identical config and seed give bit-identical results for any
     worker count.
     """
-    _check_workers(workers)
+    workers = _check_workers(workers)
     theta = solve_edge_angle(config.scenario)
 
     bounds = list(range(0, config.n_timeslots, _CHUNK_SLOTS)) + [config.n_timeslots]

@@ -69,6 +69,44 @@ def test_documented_urban_defaults():
     assert cfg["strategies"] == "static,sbc,mar,cmp"
 
 
+# every config key, its flag, the flag's type and the commands that take the flag
+SIM, SWEEPS, ALL = ("simulate",), ("design", "gain"), ("design", "gain", "simulate")
+OPTIONS = [
+    ("a", "--scenario-a", float, ALL), ("b", "--scenario-b", float, ALL),
+    ("eta_los", "--eta-los", float, ALL), ("eta_nlos", "--eta-nlos", float, ALL),
+    ("freq_hz", "--freq-hz", float, ALL), ("er", "--er", float, SIM),
+    ("lambda", "--lambda", float, SIM), ("fixed_n", "--fixed-n", int, SIM),
+    ("timeslots", "--timeslots", int, SIM), ("seed", "--seed", int, SIM),
+    ("strategies", "--strategies", str, SIM), ("workers", "--workers", int, SIM),
+    ("er_min", "--er-min", float, SWEEPS), ("er_max", "--er-max", float, SWEEPS),
+    ("er_step", "--er-step", float, SWEEPS),
+]
+# per flag type: a flag value, the value it parses to, and a config-file value
+OPTION_VALUES = {float: ("0.25", 0.25, 0.5), int: ("3", 3, 4),
+                 str: ("static,mar", "static,mar", ["sbc"])}
+
+
+@pytest.mark.parametrize("key, flag, flag_type, commands", OPTIONS,
+                         ids=[row[0] for row in OPTIONS])
+def test_each_option_reaches_the_config(tmp_path, key, flag, flag_type, commands):
+    assert [row[0] for row in OPTIONS] == list(cli._OPTIONS)
+    text, parsed, loaded = OPTION_VALUES[flag_type]
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({key: loaded}))
+    parser = build_parser()
+    for command in ALL:
+        if command not in commands:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, flag, text])
+            assert exc.value.code == 2
+            continue
+        value = _resolve_config(parser.parse_args([command, flag, text]))[key]
+        assert value == parsed and type(value) is flag_type
+        assert _resolve_config(parser.parse_args([command, "--config", str(conf)]))[key] == loaded
+        assert _resolve_config(parser.parse_args(
+            [command, "--config", str(conf), flag, text]))[key] == parsed
+
+
 class TestDesign:
     def test_default_sweep(self, tmp_path):
         assert main(["design", "--out", str(tmp_path)]) == 0

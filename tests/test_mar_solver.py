@@ -42,6 +42,21 @@ def solve(users):
     return solve_mar_batch(np.asarray(users, dtype=float), RATE, RATE_TERMS)
 
 
+@pytest.mark.parametrize("solver", [
+    min_enclosing_circle, lambda pts: solve_mar_batch(pts, RATE, RATE_TERMS)], ids=["sbc", "mar"])
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((2, 2)), r"must have shape \(B, N, 2\), got \(2, 2\)"),
+    (np.zeros((2, 3, 3)), r"must have shape \(B, N, 2\)"),
+    (np.empty((3, 0, 2)), "need at least one point"),
+    (np.empty((0, 3, 2)), "need at least one point"),
+    ([[(0.0, 0.0), (np.nan, 0.5)]], "coordinates must be finite"),
+    ([[(0.0, 0.0)], [(-np.inf, 0.5)]], "coordinates must be finite"),
+], ids=["one-set", "three-coords", "no-users", "no-sets", "nan", "inf"])
+def test_both_solvers_reject_bad_point_sets(solver, points, message):
+    with pytest.raises(ValueError, match=message):
+        solver(points)
+
+
 def objective(position, users):
     # the solver's distance form, sqrt(dx^2 + dy^2), so that its objectives compare exactly
     dx, dy = users[:, 0] - position[0], users[:, 1] - position[1]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,15 @@ from dronecell.sim import _nearest_rank, _place_slots
 import oracles
 
 THETA = solve_edge_angle(URBAN)
+# worker counts that run_simulation refuses, each with its message
+BAD_WORKERS = [
+    (0, f"workers must be in [1, {_MAX_WORKERS}], got 0"),
+    (_MAX_WORKERS + 1, f"workers must be in [1, {_MAX_WORKERS}], got {_MAX_WORKERS + 1}"),
+    (10**9, f"workers must be in [1, {_MAX_WORKERS}], got 1000000000"),
+    (True, "workers must be an integer, got True"),
+    (2.5, "workers must be an integer, got 2.5"),
+    ("2", "workers must be an integer, got '2'"),
+]
 
 
 def chunk_slots(cfg):
@@ -167,6 +177,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(scenario=URBAN, strategies=())
 
+    def test_rejects_an_unknown_strategy(self):
+        with pytest.raises(ValueError, match="'bogus'.*static, sbc, mar, cmp$"):
+            SimConfig(scenario=URBAN, strategies=("static", "bogus"))
+
     def test_accepts_strategy_names(self):
         cfg = SimConfig(scenario=URBAN, strategies=("static", "mar"))
         assert cfg.strategies == (Strategy.STATIC, Strategy.MAR)
@@ -283,24 +297,25 @@ class TestEngine:
         assert stats.n_timeslots == cfg.n_timeslots
 
     @pytest.mark.parametrize("workers, n_timeslots, processes", [
-        (1, 30, 1), (2, 10, 1), (2, 30, 2), (8, 30, 3)])
+        (1, 30, 1), (2, 10, 1), (2, 30, 2), (8, 30, 3), (np.int64(2), 30, 2)])
     def test_reports_the_process_count(self, monkeypatch, inline_pool, workers, n_timeslots,
                                        processes):
         monkeypatch.setattr(sim, "_CHUNK_SLOTS", 10)
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=n_timeslots, seed=2,
                         strategies=(Strategy.STATIC,))
         stats = run_simulation(cfg, workers=workers)
-        assert stats.processes == processes
+        assert stats.processes == processes and type(stats.processes) is int
         assert inline_pool == ([] if processes == 1 else [processes])
 
-    @pytest.mark.parametrize("workers", [0, _MAX_WORKERS + 1, 10**9])
-    def test_rejects_a_worker_count_out_of_bounds(self, monkeypatch, workers):
+    @pytest.mark.parametrize("workers, message", BAD_WORKERS,
+                             ids=[str(w) for w, _ in BAD_WORKERS])
+    def test_rejects_a_worker_count_out_of_bounds(self, monkeypatch, workers, message):
         def no_pool(max_workers):
             raise AssertionError("no process may start")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
         cfg = SimConfig(scenario=URBAN, lam=1.0, n_timeslots=2 * sim._CHUNK_SLOTS, seed=2)
-        with pytest.raises(ValueError, match=f"workers must be in \\[1, {_MAX_WORKERS}\\]"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_simulation(cfg, workers=workers)
 
     def test_empty_slot_returns_to_center(self):
