@@ -39,7 +39,8 @@ _ALL, _SWEEPS, _SIM = tuple(_COMMANDS), ("design", "gain"), ("simulate",)
 
 # one row per config key, which a config file of any command may set: the
 # flag, the flag's type, the key's default (a None default also admits
-# null), the commands that take the flag, and the flag's help
+# null), the commands that take the flag and read the key, and the flag's
+# help; a command's config holds only the keys it reads
 _OPTIONS = {
     "a": ("--scenario-a", float, 9.61, _ALL, None),
     "b": ("--scenario-b", float, 0.16, _ALL, None),
@@ -66,9 +67,6 @@ _MAX_SWEEP_ROWS = 10**6
 # numpy calls, few enough that the text of one block stays near 100 kB
 _CDF_BLOCK_ROWS = 1024
 
-# bytes per read when hashing an emitted file
-_DIGEST_READ_BYTES = 1 << 20
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = {key: default for key, (_, _, default, _, _) in _OPTIONS.items()}
+    cfg = {key: default for key, (_, _, default, commands, _) in _OPTIONS.items()
+           if args.command in commands}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -96,17 +95,19 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"config file is not valid JSON: {e}") from e
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a flat JSON object")
-        unknown = sorted(set(loaded) - set(cfg))
+        unknown = sorted(set(loaded) - set(_OPTIONS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in loaded.items():
             _check_config_type(key, value)
-        cfg.update(loaded)
+            if key in cfg:
+                cfg[key] = value
     for key in cfg:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    _check_workers(cfg["workers"])
+    if "workers" in cfg:
+        _check_workers(cfg["workers"])
     return cfg
 
 
@@ -127,10 +128,11 @@ def _check_config_type(key: str, value) -> None:
 
 
 def _scenario(cfg: dict) -> ScenarioParams:
+    # the sweeps read no er: each of their rows sets its own
     return ScenarioParams(a=float(cfg["a"]), b=float(cfg["b"]),
                           eta_los=float(cfg["eta_los"]),
                           eta_nlos=float(cfg["eta_nlos"]),
-                          freq_hz=float(cfg["freq_hz"]), e_r=float(cfg["er"]))
+                          freq_hz=float(cfg["freq_hz"]), e_r=float(cfg.get("er", 0.0)))
 
 
 def _er_sweep(cfg: dict) -> list[float]:
@@ -152,32 +154,38 @@ def _er_sweep(cfg: dict) -> list[float]:
 
 
 class _OutputSet:
-    """Tracks the files a run creates so a failed run leaves nothing behind."""
+    """The files a run creates, each opened once and hashed as it is
+    written, so a failed run leaves nothing behind."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.paths: list[Path] = []
+        self.digests = {}  # file name -> SHA-256 of the bytes written to it
 
-    def create(self, name: str) -> Path:
-        """Create the file name (empty) and track it. The caller writes it in
-        append mode: a second truncation would make ext4 flush the file's
-        blocks when it is closed."""
-        path = self.out_dir / name
-        path.open("w", newline="").close()
-        self.paths.append(path)
-        return path
+    @contextlib.contextmanager
+    def create(self, name: str):
+        """Open the new file name and yield write(text), which adds the
+        text's bytes to the file's SHA-256 and writes them."""
+        with (self.out_dir / name).open("wb") as fh:
+            # tracked once the open succeeds: cleanup removes only what the run made
+            digest = self.digests[name] = hashlib.sha256()
+
+            def write(text: str) -> None:
+                data = text.encode()
+                digest.update(data)
+                fh.write(data)
+            yield write
 
     def write_json(self, name: str, payload: dict) -> None:
-        with self.create(name).open("a", newline="") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with self.create(name) as write:
+            write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def cleanup(self) -> None:
-        for p in self.paths:
-            p.unlink(missing_ok=True)
+        for name in self.digests:
+            (self.out_dir / name).unlink(missing_ok=True)
 
     def manifest(self, command: str, cfg: dict, diagnostics: dict | None = None) -> None:
-        entries = [{"path": p.name, "sha256": _sha256(p)}
-                   for p in sorted(self.paths, key=lambda p: p.name)]
+        entries = [{"path": name, "sha256": self.digests[name].hexdigest()}
+                   for name in sorted(self.digests)]
         payload = {
             "artifact_version": __version__,
             "command": command,
@@ -189,14 +197,6 @@ class _OutputSet:
         if diagnostics is not None:
             payload["diagnostics"] = diagnostics
         self.write_json("manifest.json", payload)
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(_DIGEST_READ_BYTES):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _design_columns(theta: float, _) -> tuple[float, float]:
@@ -221,13 +221,13 @@ def cmd_sweep(command: str, cfg: dict, out: _OutputSet) -> None:
     base = _scenario(cfg)
     ers = _er_sweep(cfg)
     sweep = solve_edge_angles(base, ers)
-    with out.create(f"{command}.csv").open("a", newline="") as fh:
-        fh.write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
+    with out.create(f"{command}.csv") as write:
+        write(_csv_line(["e_r", "theta_edge_deg", *names, "status"]))
         for er, theta, status in zip(ers, sweep.theta.tolist(), sweep.status):
             if status == "no_optimum":
-                fh.write(_csv_line([er, "", "", "", status]))
+                write(_csv_line([er, "", "", "", status]))
             else:
-                fh.write(_csv_line([er, theta, *columns(theta, base), status]))
+                write(_csv_line([er, theta, *columns(theta, base), status]))
     out.manifest(command, cfg, diagnostics={
         "rows": {s: sweep.status.count(s) for s in ("ok", "near_degenerate", "no_optimum")},
         "lockstep_passes": sweep.passes,
@@ -263,10 +263,10 @@ def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
         stats = run_simulation(sim_config, cfg["workers"])
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    jobs = [(out.create(f"{kind}_cdf_{s.value}.csv"), column,
-             getattr(stats.per_strategy[s], attr))
-            for kind, column, attr in _CDF_KINDS for s in sim_config.strategies]
-    _write_cdfs(jobs)
+    with contextlib.ExitStack() as stack:
+        _write_cdfs([(stack.enter_context(out.create(f"{kind}_cdf_{s.value}.csv")), column,
+                      getattr(stats.per_strategy[s], attr))
+                     for kind, column, attr in _CDF_KINDS for s in sim_config.strategies])
 
     theta = stats.theta_edge_deg
     summary = {
@@ -314,9 +314,9 @@ _CDF_KINDS = (("rate", "rate_bits_per_symbol", "rate_samples"),
 
 
 def _write_cdfs(jobs: list) -> None:
-    """Write one empirical CDF per job (path, value column, sorted samples):
-    a header, then a "value,cdf" row per sample whose cdf is its rank over
-    n, appended to the empty file path (see _OutputSet.create).
+    """Write one empirical CDF per job (write, value column, sorted
+    samples), through the job's write (see _OutputSet.create): a header,
+    then a "value,cdf" row per sample whose cdf is its rank over n.
 
     The files of one sample count n are written in lockstep, a block of
     rows at a time, and each block's cdf text is formatted once for all
@@ -325,32 +325,28 @@ def _write_cdfs(jobs: list) -> None:
     """
     for n in dict.fromkeys(len(samples) for _, _, samples in jobs):
         group = [job for job in jobs if len(job[2]) == n]
-        with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(path.open("a", newline="")) for path, _, _ in group]
-            for fh, (_, column, _) in zip(files, group):
-                fh.write(_csv_line([column, "cdf"]))
-            for lo in range(0, n, _CDF_BLOCK_ROWS):
-                hi = min(lo + _CDF_BLOCK_ROWS, n)
-                tails = [f",{c!r}\r\n" for c in (np.arange(lo + 1, hi + 1) / n).tolist()]
-                for fh, (_, _, samples) in zip(files, group):
-                    rows = zip(samples[lo:hi].tolist(), tails)
-                    fh.write("".join([f"{v!r}{t}" for v, t in rows]))
+        for write, column, _ in group:
+            write(_csv_line([column, "cdf"]))
+        for lo in range(0, n, _CDF_BLOCK_ROWS):
+            hi = min(lo + _CDF_BLOCK_ROWS, n)
+            tails = [f",{c!r}\r\n" for c in (np.arange(lo + 1, hi + 1) / n).tolist()]
+            for write, _, samples in group:
+                rows = zip(samples[lo:hi].tolist(), tails)
+                write("".join([f"{v!r}{t}" for v, t in rows]))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_set = None
+    out_set = _OutputSet(args.out)
     try:
         cfg = _resolve_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
-        out_set = _OutputSet(args.out)
         if args.command == "simulate":
             cmd_simulate(cfg, out_set)
         else:
             cmd_sweep(args.command, cfg, out_set)
     except (ValueError, NoOptimumError, OSError) as e:
-        if out_set is not None:
-            out_set.cleanup()
+        out_set.cleanup()
         msg = " ".join(str(e).split())
         print(f"error: {msg}", file=sys.stderr)
         return 2

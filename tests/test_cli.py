@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import functools
 import hashlib
@@ -43,6 +44,14 @@ def read_csv(path):
 def digests(out_dir, skip=("manifest.json",)):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.iterdir()) if p.name not in skip}
+
+
+def write_cdfs(jobs):
+    """cli._write_cdfs on (path, value column, samples) jobs, each path
+    opened as the CLI opens an output."""
+    with contextlib.ExitStack() as stack:
+        cli._write_cdfs([(stack.enter_context(cli._OutputSet(path.parent).create(path.name)),
+                          column, samples) for path, column, samples in jobs])
 
 
 @pytest.fixture
@@ -394,8 +403,8 @@ class TestGoldenFiles:
                                                         (b + 1) * cli._CDF_BLOCK_ROWS - 1))))
     def test_cdf_column_is_monotone_and_ends_at_one(self, tmp_path_factory, n):
         samples = np.sort(np.random.default_rng(n).random(n))
-        path = tmp_path_factory.mktemp("cdf") / "cdf_property.csv"  # empty, appended to
-        cli._write_cdfs([(path, "value", samples)])
+        path = tmp_path_factory.mktemp("cdf") / "cdf_property.csv"
+        write_cdfs([(path, "value", samples)])
         header, rows = read_csv(path)
         assert header == ["value", "cdf"] and len(rows) == n
         assert [float(r[0]) for r in rows] == samples.tolist()
@@ -409,10 +418,10 @@ class TestGoldenFiles:
         rng = np.random.default_rng(4)
         jobs = [(tmp_path / f"job{i}.csv", "rate" if i % 2 else "travel",
                  np.sort(rng.random(5 if i % 2 else 1))) for i in range(6)]
-        cli._write_cdfs(jobs)
+        write_cdfs(jobs)
         for i, (path, column, samples) in enumerate(jobs):
             alone = tmp_path / f"alone{i}.csv"
-            cli._write_cdfs([(alone, column, samples)])
+            write_cdfs([(alone, column, samples)])
             assert path.read_bytes() == alone.read_bytes()
             header, rows = read_csv(path)
             assert header == [column, "cdf"]
@@ -425,7 +434,7 @@ class TestGoldenFiles:
             samples = np.sort(np.random.default_rng(n).random(n))
             tracemalloc.start()
             try:
-                cli._write_cdfs([(tmp_path / f"n{n}.csv", "value", samples)])
+                write_cdfs([(tmp_path / f"n{n}.csv", "value", samples)])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -434,11 +443,32 @@ class TestGoldenFiles:
         assert large < 2e6 and small < 2e6
         assert large < 1.25 * small
 
-    def test_streamed_digest_matches_the_whole_file(self, tmp_path):
-        path = tmp_path / "data.bin"
-        data = np.random.default_rng(0).bytes(2 * cli._DIGEST_READ_BYTES + 17)
-        path.write_bytes(data)
-        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+    @pytest.mark.parametrize("args", [
+        ["design"], ["gain"],
+        ["simulate", "--strategies", "static", "--timeslots", "6000", "--workers", "1"],
+        ["simulate", "--strategies", "static", "--timeslots", "6000", "--workers", "2"]],
+        ids=["design", "gain", "simulate-w1", "simulate-w2"])
+    def test_each_output_is_opened_once_and_hashed_as_written(self, tmp_path, monkeypatch,
+                                                              args):
+        opens = []
+        path_open = pathlib.Path.open
+
+        def spy_open(path, mode="r", *rest, **kwargs):
+            opens.append((path, mode))
+            return path_open(path, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", spy_open)
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        files = sorted(tmp_path.iterdir())
+        assert sorted(path for path, _ in opens if path.parent == tmp_path) == files
+        assert all(mode == "wb" for path, mode in opens if path.parent == tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == [
+            {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in files if p.name != "manifest.json"]
+        if args[0] == "simulate":  # a CDF file over 1 MiB: many writes into one digest
+            assert max(p.stat().st_size for p in files) > 1 << 20
 
 
 class TestReproduction:
@@ -452,6 +482,16 @@ class TestReproduction:
         second = tmp_path / "second"
         assert main(["simulate", "--config", str(cfg), "--out", str(second)]) == 0
         assert digests(first) == digests(second)
+
+    def test_manifest_echoes_only_the_keys_the_command_reads(self, tmp_path):
+        # one config file may serve every command; a sweep takes what it reads
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"er": 0.3, "timeslots": 0, "strategies": "bogus"}))
+        assert main(["design", "--config", str(conf), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert sorted(manifest["config"]) == ["a", "b", "er_max", "er_min", "er_step",
+                                              "eta_los", "eta_nlos", "freq_hz"]
+        assert manifest["seed"] is None
 
     def test_empty_run_emits_valid_json(self, tmp_path):
         # lam=0.05 with this seed draws zero users in every slot
@@ -574,7 +614,8 @@ class TestErrors:
         ("simulate", "seed", True, "an integer"),
         ("simulate", "fixed_n", 3.0, "an integer or null"),
         ("simulate", "lambda", None, "a number"),
-        ("design", "er_step", None, "a number")])
+        ("design", "er_step", None, "a number"),
+        ("design", "timeslots", 20.9, "an integer")])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, key, value, want):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -636,10 +677,16 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["simulate", "design", "gain"])
     def test_worker_count_out_of_bounds_in_a_config_file(self, tmp_path, capsys, command):
+        # only simulate reads workers: the sweeps leave the key out of their config
         conf = tmp_path / "c.json"
         conf.write_text('{"workers": 1000000000}')
-        rc = main([command, "--config", str(conf), "--out", str(tmp_path / "out")])
-        assert rc == 2 and not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(conf), "--out", str(out)])
+        if command != "simulate":
+            assert rc == 0
+            assert "workers" not in json.loads((out / "manifest.json").read_text())["config"]
+            return
+        assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == (
             f"error: workers must be in [1, {_MAX_WORKERS}], got 1000000000\n")
 
