@@ -128,11 +128,10 @@ def _check_config_type(key: str, value) -> None:
 
 
 def _scenario(cfg: dict) -> ScenarioParams:
-    # the sweeps read no er: each of their rows sets its own
     return ScenarioParams(a=float(cfg["a"]), b=float(cfg["b"]),
                           eta_los=float(cfg["eta_los"]),
                           eta_nlos=float(cfg["eta_nlos"]),
-                          freq_hz=float(cfg["freq_hz"]), e_r=float(cfg.get("er", 0.0)))
+                          freq_hz=float(cfg["freq_hz"]))
 
 
 def _er_sweep(cfg: dict) -> list[float]:
@@ -245,7 +244,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SummaryStats:
 def cmd_simulate(cfg: dict, out: _OutputSet) -> None:
     from . import sim
 
-    scenario = _scenario(cfg)
+    scenario = _scenario(cfg).with_efficiency(float(cfg["er"]))
     strategies = cfg["strategies"]
     if isinstance(strategies, str):
         strategies = [s.strip() for s in strategies.split(",") if s.strip()]

@@ -315,12 +315,10 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
         kap = np.sqrt(dx * dx + dy * dy)
         r, r1, r2 = rate_terms(kap)
         on = kap <= _CONE_EPS
+        cone = -np.where(on, r1, 0.0).sum(axis=1)
         # with d_i = x - u_i, a_i = r'/k and c_i = (r'' - a_i)/k^2 (0 on the
         # cone): gradient sum_i a_i d_i, Hessian sum_i c_i d_i d_i^T + (sum_i a_i) I
-        if on.any():
-            cone, inv = -np.where(on, r1, 0.0).sum(axis=1), 1.0 / np.where(on, np.inf, kap)
-        else:
-            cone, inv = np.zeros(active.size), 1.0 / kap
+        inv = 1.0 / np.where(on, np.inf, kap)
         a = r1 * inv
         c = (r2 - a) * inv * inv
         gx, gy = (a * dx).sum(axis=1), (a * dy).sum(axis=1)
@@ -346,12 +344,10 @@ def _newton_ascent(x0: np.ndarray, users: np.ndarray, rate, rate_terms,
         t = 1.0
         while (todo := todo[t * length[todo] > _XTOL]).size:
             xt = xa[todo] + t * step[todo]
-            ex, ey = ua[todo, :, 0] - xt[:, None, 0], ua[todo, :, 1] - xt[:, None, 1]
-            kap2 = ex * ex + ey * ey  # _aggregate_rates' bits, and _snap's input
-            ft = rate(np.sqrt(kap2)).sum(axis=1)
+            ft = _aggregate_rates(xt[:, None, :], ua[todo], rate)[:, 0]
             ok = ft > f[todo]
             rows = active[todo[ok]]
-            x[rows], values[rows] = _snap(xt[ok], ft[ok], ua[todo[ok]], kap2[ok], rate)
+            x[rows], values[rows] = _snap(xt[ok], ft[ok], ua[todo[ok]], rate)
             moved[todo[ok]] = True
             todo = todo[~ok]
             t *= 0.5
@@ -372,11 +368,13 @@ def _retire_met(x: np.ndarray, active: np.ndarray, live: np.ndarray, starts: int
     return active[~met]
 
 
-def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, kap2: np.ndarray, rate
+def _snap(x: np.ndarray, f: np.ndarray, users: np.ndarray, rate
           ) -> tuple[np.ndarray, np.ndarray]:
-    """Move each point x[j] (objective f[j], squared user distances kap2[j])
-    onto its nearest user when that user lies within _SNAP_RADIUS and
-    scores strictly higher; returns the points and their objectives."""
+    """Move each point x[j] (objective f[j]) onto its nearest user when that
+    user lies within _SNAP_RADIUS and scores strictly higher; returns the
+    points and their objectives."""
+    dx, dy = users[..., 0] - x[:, None, 0], users[..., 1] - x[:, None, 1]
+    kap2 = dx * dx + dy * dy
     near = np.argmin(kap2, axis=1)
     close = np.flatnonzero(kap2[np.arange(x.shape[0]), near] <= _SNAP_RADIUS * _SNAP_RADIUS)
     if close.size:
